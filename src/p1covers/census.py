@@ -7,21 +7,23 @@ pivot must sit in the x^d column (base-point-freeness at infinity), g and
 h must be coprime (no finite base point) and h g' - g h' must not vanish
 (separability).
 
-Records group the stream by monic discriminant. Length multisets come
-from the squarefree structure, which never needs a field extension and is
-always exact; divisor points are materialized only when cheap or
-requested. Per-class Zariski tangent dimensions of the
-fixed-discriminant locus are computed in chart coordinates on the raw
-fast path. Enumeration can be partitioned across processes; the merge is
-a deterministic reduce keyed on the discriminant.
+A census is one pass over the echelon forms, all over F_q. Records group
+it by monic discriminant. Length multisets come from the squarefree
+structure, exact and extension-free; divisor points, the only part that
+may need an extension field, are materialized when cheap or requested.
+Tangent dimensions are taken in each plane's own echelon chart. The
+class total is checked against its closed form, from which Burnside
+gives the Frobenius orbit count. Enumeration can be partitioned across
+processes; the merge is a deterministic reduce keyed on the discriminant.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .cover import Cover, Divisor, INF, _raw_normalize
+from .cover import Cover, Divisor, INF
 from .errors import BudgetExceeded, InputError
 from .field import FieldSpec, make_field
 from .poly import (Poly, raw_deriv, raw_gcd, raw_monic, raw_mul, raw_rank,
@@ -37,12 +39,22 @@ def raw_plane_count(q: int, d: int) -> int:
     return ((q ** (d + 1) - 1) * (q ** d - 1)) // ((q ** 2 - 1) * (q - 1))
 
 
-def _echelon_pairs(S, d, c2, prefix=()):
-    """Raw (g, h) coefficient lists for echelon matrices with pivots at
-    columns (0, c2); `prefix` pins the first free cells of the g row.
+def _class_total(p: int, m: int, d: int) -> int:
+    """Number of admissible classes over F_{p^m}: PGL_2 acts freely on the
+    q^(2d+1) - q^(2d-1) rational maps of degree d, and the planes inside
+    k[x^p] (only when p divides d) are the inseparable ones."""
+    q = p ** m
+    return q ** (2 * d - 2) - (q ** (2 * d // p - 2) if d % p == 0 else 0)
 
-    Column j holds the coefficient of x^(d-j). Yields every matrix once,
-    free cells iterated in the fixed element order, the h row fastest.
+
+def _admissible(S, d, c2, prefix=()):
+    """Raw (g, h, disc) for the admissible echelon matrices with pivots at
+    columns (0, c2), disc = h g' - g h'; `prefix` pins the first free
+    cells of the g row.
+
+    Column j holds the coefficient of x^(d-j). Yields every admissible
+    matrix once, free cells iterated in the fixed element order, the h row
+    fastest.
     """
     q = S.order
     free_g = [j for j in range(1, d + 1) if j != c2]
@@ -58,12 +70,18 @@ def _echelon_pairs(S, d, c2, prefix=()):
         for j, v in zip(free_g, gvals):
             g[d - j] = v
         g = raw_trim(g)
+        gp = raw_deriv(S, g)
         for hvals in itertools.product(range(q), repeat=nh):
             h = [0] * (d + 1)
             h[d - c2] = 1
             for j, v in zip(free_h, hvals):
                 h[d - j] = v
-            yield g, raw_trim(list(h))
+            h = raw_trim(h)
+            if len(raw_gcd(S, g, h)) > 1:
+                continue
+            disc = raw_sub(S, raw_mul(S, h, gp), raw_mul(S, g, raw_deriv(S, h)))
+            if disc:
+                yield g, h, disc
 
 
 def enumerate_covers(spec: FieldSpec, d: int, budget: int = DEFAULT_BUDGET):
@@ -73,40 +91,27 @@ def enumerate_covers(spec: FieldSpec, d: int, budget: int = DEFAULT_BUDGET):
         raise BudgetExceeded(
             f"census of {total} planes exceeds the budget {budget}")
     for c2 in range(1, d + 1):
-        for g, h in _echelon_pairs(spec, d, c2):
-            if len(raw_gcd(spec, g, h)) > 1:
-                continue
-            disc = raw_sub(spec, raw_mul(spec, h, raw_deriv(spec, g)),
-                           raw_mul(spec, g, raw_deriv(spec, h)))
-            if not disc:
-                continue
+        for g, h, _ in _admissible(spec, d, c2):
             yield Cover(Poly._raw(spec, g), Poly._raw(spec, h))
 
 
-def _tangent_dim_raw(S, g, h, d, disc_raw, max_ext):
-    """Chart tangent dimension of the fixed-discriminant locus, fast path."""
-    if d == 1:
-        return 0
-    spec_n, gn, hn, _, _ = _raw_normalize(S, list(g), list(h), d, list(disc_raw), max_ext)
-    cols = _tangent_columns_raw(spec_n, gn, hn, d)
-    ncols = len(cols)
-    rows = _columns_to_rows(cols, 2 * d - 2)
-    return ncols - raw_rank(spec_n, rows, ncols)
+def _tangent_dim_raw(S, g, h, d, disc_raw):
+    """xd tangent dimension in the plane's own echelon chart: g1 and h1 run
+    over the non-pivot monomials, one more unknown scales the discriminant,
+    and the dimension is the nullity of the (2d-1)-square system over S."""
+    dh = len(h) - 1
+    cols = _tangent_columns_raw(S, g, h, [e for e in range(d) if e != dh])
+    cols.append(disc_raw)
+    n = 2 * d - 1
+    return n - raw_rank(S, _columns_to_rows(cols, n), n)
 
 
 def _scan_chunk(args):
     """Worker: scan one enumeration slice into {disc: [count, {dim: n}]}."""
-    p, m, d, c2, prefix, max_ext, with_tangent = args
+    p, m, d, c2, prefix, with_tangent = args
     S = make_field(p, m)
     table = {}
-    gcd = raw_gcd
-    for g, h in _echelon_pairs(S, d, c2, prefix):
-        if len(gcd(S, g, h)) > 1:
-            continue
-        disc = raw_sub(S, raw_mul(S, h, raw_deriv(S, g)),
-                       raw_mul(S, g, raw_deriv(S, h)))
-        if not disc:
-            continue
+    for g, h, disc in _admissible(S, d, c2, prefix):
         key = tuple(raw_monic(S, disc))
         rec = table.get(key)
         if rec is None:
@@ -114,7 +119,7 @@ def _scan_chunk(args):
             table[key] = rec
         rec[0] += 1
         if with_tangent:
-            dim = _tangent_dim_raw(S, g, h, d, disc, max_ext)
+            dim = _tangent_dim_raw(S, g, h, d, disc)
             dims = rec[1]
             dims[dim] = dims.get(dim, 0) + 1
     return table
@@ -236,9 +241,9 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
             k = 2 if q ** (n_free_g - 2) * q ** (d - c2) <= 200_000 else 3
             k = min(k, n_free_g)
             for prefix in itertools.product(range(q), repeat=k):
-                tasks.append((spec.p, spec.m, d, c2, prefix, max_ext, with_tangent))
+                tasks.append((spec.p, spec.m, d, c2, prefix, with_tangent))
         else:
-            tasks.append((spec.p, spec.m, d, c2, (), max_ext, with_tangent))
+            tasks.append((spec.p, spec.m, d, c2, (), with_tangent))
     table = {}
     if processes > 1 and len(tasks) > 1:
         import concurrent.futures
@@ -262,10 +267,13 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
             finite_lengths=finite, l_inf=l_inf, class_count=count,
             tangent_dims=dims, wild=wild, split_ok=split_ok,
             factor_profile=profile))
+    classes = sum(r.class_count for r in records)
+    expected = _class_total(spec.p, spec.m, d)
+    if classes != expected:
+        raise ArithmeticError(f"census found {classes} classes, the closed form {expected}")
     orbits = _count_galois_orbits(spec, d) if orbit_count else None
     return CensusResult(spec=spec, d=d, records=tuple(records),
-                        raw_planes=total,
-                        total_classes=sum(r.class_count for r in records),
+                        raw_planes=total, total_classes=classes,
                         galois_orbits=orbits)
 
 
@@ -284,43 +292,15 @@ def _materialize_divisor(S, disc_key, l_inf, max_ext):
 
 
 def _count_galois_orbits(spec, d):
-    """Orbits of the coefficient-wise p-power map on admissible planes."""
-    if spec.m == 1:
-        total = 0
-        for c2 in range(1, d + 1):
-            for g, h in _echelon_pairs(spec, d, c2):
-                if len(raw_gcd(spec, g, h)) > 1:
-                    continue
-                if raw_sub(spec, raw_mul(spec, h, raw_deriv(spec, g)),
-                           raw_mul(spec, g, raw_deriv(spec, h))):
-                    total += 1
-        return total
-    frob = [spec.frob_code(c) for c in range(spec.order)]
-    seen = set()
-    orbits = 0
-    for c2 in range(1, d + 1):
-        for g, h in _echelon_pairs(spec, d, c2):
-            if len(raw_gcd(spec, g, h)) > 1:
-                continue
-            if not raw_sub(spec, raw_mul(spec, h, raw_deriv(spec, g)),
-                           raw_mul(spec, g, raw_deriv(spec, h))):
-                continue
-            key = (tuple(g), tuple(h))
-            if key in seen:
-                continue
-            orbits += 1
-            cg, ch = g, h
-            while True:
-                seen.add((tuple(cg), tuple(ch)))
-                cg = [frob[c] for c in cg]
-                ch = [frob[c] for c in ch]
-                if (tuple(cg), tuple(ch)) == key:
-                    break
-    return orbits
+    """Orbits of the coefficient-wise p-power map on admissible planes, by
+    Burnside: the planes fixed by its k-th power are exactly those defined
+    over F_{p^gcd(k, m)}, and admissibility does not depend on the field."""
+    m = spec.m
+    return sum(_class_total(spec.p, math.gcd(k, m), d) for k in range(m)) // m
 
 
-def verify_theorem_char23(spec: FieldSpec, d: int, max_ext: int = 4,
-                          budget: int = DEFAULT_BUDGET, processes: int = 1) -> dict:
+def verify_theorem_char23(spec: FieldSpec, d: int, budget: int = DEFAULT_BUDGET,
+                          processes: int = 1) -> dict:
     """Tangent-dimension scan in characteristic 2 or 3: every class whose
     lengths all sit below p must have xd tangent dimension zero, and in
     characteristic 2 no differential length 1 may occur at all.
@@ -328,8 +308,8 @@ def verify_theorem_char23(spec: FieldSpec, d: int, max_ext: int = 4,
     p = spec.p
     if p not in (2, 3):
         raise InputError("this verification targets characteristic 2 and 3")
-    result = census_by_disc(spec, d, max_ext=max_ext, budget=budget,
-                            processes=processes, with_tangent=True, points=False)
+    result = census_by_disc(spec, d, budget=budget, processes=processes,
+                            with_tangent=True, points=False)
     violations = []
     checked = 0
     wild_classes = 0

@@ -29,7 +29,8 @@ def _add_common(sp):
     sp.add_argument("--p", type=int, required=True, help="prime characteristic")
     sp.add_argument("--ext", type=int, default=1, help="extension degree m (field F_{p^m})")
     sp.add_argument("--max-ext", type=int, default=4, dest="max_ext",
-                    help="largest extension degree used for splitting/normalizing")
+                    help="largest extension degree for splitting/normalizing "
+                         "(in a census: divisor points only)")
     sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sp.add_argument("--out", default=None, help="write output to a file")
     sp.add_argument("--seed", type=int, default=0, help="seed for sampled verification")
@@ -90,7 +91,7 @@ def build_parser():
                     help="force divisor point materialization")
     sp.add_argument("--no-points", dest="points", action="store_false")
     sp.add_argument("--orbits", action="store_true",
-                    help="also count Frobenius orbits of classes")
+                    help="also count Frobenius orbits of classes (closed form)")
     _add_common(sp)
     return ap
 
@@ -235,7 +236,7 @@ def _cmd_family(args):
         n = args.verify
         k = fam.spec.m
         while fam.spec.p ** k < n:
-            k += 1
+            k += fam.spec.m
         K = make_field(fam.spec.p, k)
         rng = random.Random(args.seed)
         codes = rng.sample(range(K.order), n) if n < K.order else list(range(K.order))

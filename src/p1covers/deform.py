@@ -67,15 +67,16 @@ class TangentSystem:
         return self.matrix.ncols
 
 
-def _tangent_columns_raw(S, g, h, d):
-    """Columns of the map (g1, h1) -> T_g(h1) - T_h(g1) on monomials."""
+def _tangent_columns_raw(S, g, h, exps):
+    """Columns of the map (g1, h1) -> T_g(h1) - T_h(g1), with g1 and then
+    h1 running over the monomials x^j, j in exps."""
     gp = raw_deriv(S, g)
     hp = raw_deriv(S, h)
     cols = []
-    for j in range(d - 1):  # g1 = x^j contributes -T_h(x^j) = j x^(j-1) h - x^j h'
+    for j in exps:  # g1 = x^j contributes -T_h(x^j) = j x^(j-1) h - x^j h'
         a = raw_scale(S, raw_shift(h, j - 1), j % S.p) if j else []
         cols.append(raw_sub(S, a, raw_shift(hp, j)))
-    for j in range(d - 1):  # h1 = x^j contributes T_g(x^j) = x^j g' - j x^(j-1) g
+    for j in exps:  # h1 = x^j contributes T_g(x^j) = x^j g' - j x^(j-1) g
         b = raw_scale(S, raw_shift(g, j - 1), j % S.p) if j else []
         cols.append(raw_sub(S, raw_shift(gp, j), b))
     return cols
@@ -106,7 +107,7 @@ def tangent_system(nc: NormalizedCover, variant: str = "xd",
             lens.append(mult)
         points, lengths = tuple(pts), tuple(lens)
         degenerate = tuple(pt for pt, l in zip(points, lengths) if l % S.p == 0)
-    cols = _tangent_columns_raw(S, g, h, d)
+    cols = _tangent_columns_raw(S, g, h, range(d - 1))
     if variant == "xli":
         disc = raw_sub(S, raw_mul(S, h, raw_deriv(S, g)),
                        raw_mul(S, g, raw_deriv(S, h)))
@@ -252,7 +253,7 @@ def lift_deformation(nc: NormalizedCover, v: DeformationVector, order: int) -> L
     g, h = list(cov.g.c), list(cov.h.c)
     if _first_order_residual(S, g, h, list(v.g1.c), list(v.h1.c)):
         raise InputError("vector is not a first-order solution of the xd system")
-    cols = _tangent_columns_raw(S, g, h, d)
+    cols = _tangent_columns_raw(S, g, h, range(d - 1))
     nrows = 2 * d - 2
     rows = _columns_to_rows(cols, nrows)
     gs = [g, list(v.g1.c)]

@@ -341,6 +341,19 @@ def _roots_of_split_product(base_order, sub: FieldSpec, g):
     return sorted(roots)
 
 
+def _embedding_twist(S, sub, target):
+    """Least k such that embedding sub into target after the k-th Frobenius
+    power agrees on S with the direct S -> target embedding."""
+    if S.m == 1:
+        return 0
+    want, v = target.embed_code(S.p, S), sub.embed_code(S.p, S)  # images of u
+    for k in range(S.m):
+        if target.embed_code(v, sub) == want:
+            return k
+        v = sub.frob_code(v)
+    raise ArithmeticError("no Frobenius power makes the embeddings agree")
+
+
 def roots_with_multiplicity(a: "Poly", max_ext: int = 4):
     """Roots of a over extensions of degree <= max_ext, with multiplicity.
 
@@ -384,7 +397,10 @@ def roots_with_multiplicity(a: "Poly", max_ext: int = 4):
         codes = _roots_of_split_product(S.order, sub, gr)
         if len(codes) != len(g) - 1:
             raise ArithmeticError("root extraction lost roots of a split factor")
+        twist = _embedding_twist(S, sub, target)
         for c in codes:
+            for _ in range(twist):
+                c = sub.frob_code(c)
             roots.append((FieldElement(target, target.embed_code(c, sub)), e))
     residual = [1]
     for fac, e in residual_parts:

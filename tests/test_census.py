@@ -14,7 +14,9 @@ F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
+F8 = make_field(2, 3)
 F9 = make_field(3, 2)
+F16 = make_field(2, 4)
 
 
 def brute_plane_count(spec, d):
@@ -205,6 +207,48 @@ def test_galois_orbit_count():
     assert res_m1.galois_orbits == res_m1.total_classes
 
 
+def enumerated_galois_orbits(spec, d):
+    """Oracle: orbits of the coefficient-wise p-power map on the echelon
+    forms of the enumerated classes, followed one by one."""
+    frob = [spec.frob_code(c) for c in range(spec.order)]
+    seen = set()
+    orbits = 0
+    for cov in enumerate_covers(spec, d):
+        key = (cov.g.c, cov.h.c)
+        if key in seen:
+            continue
+        orbits += 1
+        cur = key
+        while cur not in seen:
+            seen.add(cur)
+            cur = tuple(tuple(frob[c] for c in part) for part in cur)
+        assert cur == key
+    return orbits
+
+
+@pytest.mark.parametrize("spec,d", [(F4, 1), (F4, 2), (F4, 3), (F4, 4),
+                                    (F8, 1), (F8, 2), (F8, 3),
+                                    (F9, 1), (F9, 2), (F9, 3), (F16, 2)])
+def test_galois_orbits_match_enumeration(spec, d):
+    res = census_by_disc(spec, d, with_tangent=False, points=False, orbit_count=True)
+    assert res.galois_orbits == enumerated_galois_orbits(spec, d)
+
+
+def test_census_checks_class_total(monkeypatch):
+    import p1covers.census as census_mod
+    monkeypatch.setattr(census_mod, "_class_total", lambda p, m, d: -1)
+    with pytest.raises(ArithmeticError):
+        census_by_disc(F3, 2)
+
+
+@pytest.mark.parametrize("spec", [F2, F3])
+def test_census_max_ext_bounds_points_only(spec):
+    # some d = 4 classes are ramified at every point of P^1(F_q); the
+    # echelon-chart tangent stage needs no extension field for them
+    small = census_by_disc(spec, 4, max_ext=1, points=False)
+    assert small.to_json() == census_by_disc(spec, 4, points=False).to_json()
+
+
 def test_census_multisets_match_cover_path():
     # record-level length multisets agree with the per-cover computation
     res = census_by_disc(F3, 3, with_tangent=False)
@@ -214,12 +258,13 @@ def test_census_multisets_match_cover_path():
         assert rec.length_multiset() == cov.length_multiset()
 
 
-def test_census_tangent_dims_match_object_layer():
-    # the fast raw path inside the census agrees with the public solver
+def assert_tangent_dims_match_object_layer(spec, d):
+    # the echelon-chart path inside the census agrees with the chart-form
+    # solver of the object layer
     from p1covers import tangent_dim
-    res = census_by_disc(F3, 3)
+    res = census_by_disc(spec, d)
     by_disc = {}
-    for cov in enumerate_covers(F3, 3):
+    for cov in enumerate_covers(spec, d):
         dim, _ = tangent_dim(cov.normalize(), "xd")
         by_disc.setdefault(str(cov.discriminant()), []).append(dim)
     assert len(by_disc) == len(res.records)
@@ -228,6 +273,17 @@ def test_census_tangent_dims_match_object_layer():
         for dim in by_disc[str(rec.disc)]:
             expect[dim] = expect.get(dim, 0) + 1
         assert rec.tangent_dims == expect
+
+
+def test_census_tangent_dims_match_object_layer():
+    assert_tangent_dims_match_object_layer(F3, 3)
+
+
+# F_2 d = 4 holds classes whose chart form needs F_4
+@pytest.mark.parametrize("spec,d", [(F2, 1), (F2, 2), (F2, 3), (F2, 4), (F2, 5),
+                                    (F4, 3), (F5, 3), (F8, 3)])
+def test_census_tangent_dims_match_object_layer_over(spec, d):
+    assert_tangent_dims_match_object_layer(spec, d)
 
 
 def test_census_points_flag():

@@ -125,6 +125,23 @@ def test_census_json_and_out_file(tmp_path, capsys):
         Poly.parse(rec["disc"], F3)
 
 
+def test_family_verify_field_contains_family_field(capsys):
+    # the wild point lies in F_4, so five parameters come from F_16, not F_8
+    code, out, _ = run(capsys, "family", "wild", "x^4 + x^3 + x^2 + x / x^3 + x^2 + 1",
+                       "--p", "2", "--verify", "5", "--json")
+    assert code == 0
+    assert len(json.loads(out)["verify"]["samples"]) == 5
+
+
+def test_census_max_ext_bounds_points_only(capsys):
+    # every point of P^1(F_2) is ramified for some d = 4 classes; the
+    # tangent stage needs no extension, so max_ext 1 is enough without points
+    code1, out1, _ = run(capsys, "census", "--p", "2", "--d", "4", "--max-ext", "1",
+                         "--no-points", "--json")
+    code4, out4, _ = run(capsys, "census", "--p", "2", "--d", "4", "--no-points", "--json")
+    assert code1 == code4 == 0 and out1 == out4
+
+
 def test_census_human(capsys):
     code, out, _ = run(capsys, "census", "--p", "2", "--d", "2")
     assert code == 0

@@ -5,12 +5,13 @@ from itertools import product as iproduct
 
 import pytest
 
-from p1covers import (FieldElement, FieldMatrix, InputError, Poly, PolyMatrix,
+from p1covers import (Cover, FieldElement, FieldMatrix, InputError, Poly, PolyMatrix,
                       kernel_basis, make_field, poly_arith, poly_gcd,
                       rank_over_kX, roots_with_multiplicity)
 
 F2 = make_field(2)
 F3 = make_field(3)
+F4 = make_field(2, 2)
 F5 = make_field(5)
 F9 = make_field(3, 2)
 
@@ -225,6 +226,37 @@ def test_roots_mixed_degrees_partial_split():
     # with max_ext = 6 everything fits in F_{3^6}
     roots6, residual6 = roots_with_multiplicity(a, 6)
     assert residual6 == Poly.one(F3) and len(roots6) == 5
+
+
+def test_roots_over_nonprime_base_vanish():
+    # the discriminant of this cover over F_9 has irreducible factors of
+    # degrees 2 and 4: the quadratic's roots are found in F_81 and carried
+    # into F_{3^8}, which must agree with the direct F_9 -> F_{3^8} embedding
+    cov = Cover.parse("[2*u]*x^3 + [2*u + 1]*x^2 + 2*x + 2 / "
+                      "[u + 1]*x^4 + [u]*x^3 + x^2 + 2*x + [u + 1]", F9)
+    disc = cov.discriminant()
+    roots, residual = roots_with_multiplicity(disc, 4)
+    assert residual == Poly.one(F9) and len(roots) == 6
+    assert roots[0][0].spec.order == 3 ** 8
+    for r, _ in roots:
+        assert disc.evaluate(r).code == 0
+
+
+def test_roots_reconstruct_input_nonprime_base():
+    rng = random.Random(5)
+    for spec in (F4, F9):
+        for _ in range(12):
+            a = rand_poly(spec, rng.randrange(2, 6), rng)
+            if a.is_zero() or a.degree() < 1:
+                continue
+            roots, residual = roots_with_multiplicity(a, 4)
+            target = roots[0][0].spec if roots else spec
+            prod = Poly.one(target)
+            for r, m in roots:
+                assert a.evaluate(r).code == 0
+                prod = prod * (Poly.x(target) - Poly.constant(target, r.code)) ** m
+            lc = Poly.constant(target, target.embed_code(a.leading_coefficient().code, spec))
+            assert prod * residual.embed(target) * lc == a.embed(target)
 
 
 def test_roots_zero_input():
