@@ -16,7 +16,7 @@ import random
 import sys
 
 from .cartier import image_T, kernel_T, operator_matrix
-from .census import census_by_disc
+from .census import census_by_disc, tame_violations
 from .cover import Cover
 from .deform import brute_force_tangent, lift_deformation, tangent_dim
 from .errors import BudgetExceeded, InputError, SplitBoundExceeded
@@ -234,12 +234,17 @@ def _cmd_family(args):
     lines = [f"family: {fam.description} over GF({fam.spec.order})"]
     if args.verify > 0:
         n = args.verify
+        bad = fam.degenerate_parameter()
         k = fam.spec.m
-        while fam.spec.p ** k < n:
+        while fam.spec.p ** k - (bad is not None) < n:
             k += fam.spec.m
         K = make_field(fam.spec.p, k)
+        params = range(K.order)
+        if bad is not None:
+            bad_code = K.embed_code(bad.code, fam.spec)
+            params = [c for c in params if c != bad_code]
         rng = random.Random(args.seed)
-        codes = rng.sample(range(K.order), n) if n < K.order else list(range(K.order))
+        codes = rng.sample(params, n) if n < len(params) else list(params)
         ts = [FieldElement(K, c) for c in sorted(codes)]
         report = verify_family(fam, ts, args.max_ext)
         payload["verify"] = report
@@ -258,13 +263,8 @@ def _cmd_census(args):
     summary = result.summary()
     violations = None
     if not args.no_tangent and spec.p in (2, 3):
-        violations = []
-        for rec in result.records:
-            if rec.wild:
-                continue
-            bad = {str(dim): n for dim, n in rec.tangent_dims.items() if dim != 0}
-            if bad:
-                violations.append({"disc": str(rec.disc), "dims": bad})
+        # string keys, so that --json sorts dimensions as text
+        violations = tame_violations(result.records, dim_key=str)
     summary["violations"] = violations
     payload = {"summary": summary, "records": [r.to_json() for r in result.records]}
     lines = [f"census over GF({spec.order}), degree {args.d}:",

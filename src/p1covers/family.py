@@ -48,7 +48,20 @@ class Family:
         g = self.g.embed(T) if T != self.spec else self.g
         h = self.h.embed(T) if T != self.spec else self.h
         bump = self.bump.embed(T) if T != self.spec else self.bump
-        return Cover(g + bump * t, h)
+        num = g + bump * t
+        if max(num.degree(), h.degree()) < self.d:
+            raise InputError(f"the fiber at t = {t} drops below degree {self.d}")
+        return Cover(num, h)
+
+    def degenerate_parameter(self):
+        """The one parameter whose fiber drops below degree d, or None.
+        That happens only when deg h < d = deg bump, at the t that cancels
+        the x^d coefficient of g + t*bump."""
+        if self.h.degree() >= self.d or self.bump.degree() != self.d:
+            return None
+        S, d = self.spec, self.d
+        g_d = self.g.c[d] if self.g.degree() == d else 0
+        return FieldElement(S, S.neg(S.div(g_d, self.bump.c[d])))
 
     def at_zero(self) -> Cover:
         return Cover(self.g, self.h)

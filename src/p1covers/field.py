@@ -3,11 +3,22 @@
 An element of F_{p^m} is encoded as an integer code in [0, p^m): the
 base-p digits of the code, constant digit first, are the coefficients of
 the residue modulo the defining polynomial. That encoding *is* the fixed
-element order used everywhere (constant term fastest). Fields of order
-up to `TABLE_LIMIT` get flat multiplication/addition lookup tables so
-that downstream polynomial loops run at table speed; larger extensions
-fall back to digit-vector arithmetic with precomputed modular reduction
-rows.
+element order used everywhere (constant term fastest).
+
+Every field of order up to `TABLE_LIMIT` gets flat q*q lookup tables for
+add/sub/mul (entry `a*q + b`) plus neg/inv, built when the field is made,
+so that downstream polynomial loops run at table speed. F_q^* is
+cyclic, so the powers of the least primitive element give exp/log
+tables, and each multiplication row is the exp list read at shifted
+logs. Each addition row is an earlier row translated by p^k (k the
+lowest nonzero digit), and each subtraction row is an addition row read
+through negation. The build costs at most q-1 field products per
+primitive-element candidate and O(q) Python steps; the q^2 entries of
+each table are filled by C-level gathers and share one int object per
+code. Larger extensions fall back to packed-integer arithmetic (up to
+2^20 elements, with digit and packing caches built from
+`itertools.product`) or to digit-vector arithmetic, both with
+precomputed modular reduction rows.
 
 Field construction is deterministic: `make_field(p, m)` picks the
 lexicographically least monic irreducible modulus of degree m over F_p,
@@ -20,6 +31,7 @@ from __future__ import annotations
 
 import functools
 from itertools import product
+from operator import itemgetter
 
 from .errors import InputError
 
@@ -348,8 +360,8 @@ class FieldSpec:
                                 nxt[j] = (nxt[j] + c * r) % p
                 rows.append(nxt)
             self._red_rows = rows
-        if self.order <= 256:
-            self._build_tables()   # larger tables are built on first use
+        if self.order <= TABLE_LIMIT:
+            self._build_tables()
 
     # -- encoding ----------------------------------------------------------
 
@@ -366,22 +378,15 @@ class FieldSpec:
 
     def _build_decode_cache(self):
         # digit-vector and packed-int caches for fields too large for op
-        # tables; packing turns digit convolution into one int multiply
-        p, m, q = self.p, self.m, self.order
+        # tables; packing turns digit convolution into one int multiply.
+        # product() runs the last position fastest, which is the constant
+        # digit in code order, so each tuple reads high digit first
+        p, m = self.p, self.m
         bits = (2 * m * (p - 1) * (p - 1)).bit_length()
-        dec = []
-        pack = []
-        for code in range(q):
-            digits = []
-            c = code
-            for _ in range(m):
-                c, r = divmod(c, p)
-                digits.append(r)
-            dec.append(tuple(digits))
-            packed = 0
-            for d in reversed(digits):
-                packed = (packed << bits) | d
-            pack.append(packed)
+        dec = [t[::-1] for t in product(range(p), repeat=m)]
+        pack = [0]
+        for _ in range(m):
+            pack = [(x << bits) | d for x in pack for d in range(p)]
         self._dec = dec
         self._pack = pack
         self._pack_bits = bits
@@ -402,28 +407,58 @@ class FieldSpec:
     # -- arithmetic on codes -------------------------------------------------
 
     def _build_tables(self):
-        p, m, q = self.p, self.m, self.order
-        add = [0] * (q * q)
-        sub = [0] * (q * q)
-        mul = [0] * (q * q)
-        for a in range(q):
-            da = self.decode(a)
-            base = a * q
-            for b in range(q):
-                db = self.decode(b)
-                add[base + b] = self.encode([(x + y) % p for x, y in zip(da, db)])
-                sub[base + b] = self.encode([(x - y) % p for x, y in zip(da, db)])
-                mul[base + b] = self._mul_slow(a, b)
-        self._add_t, self._sub_t, self._mul_t = add, sub, mul
-        self._neg_t = [sub[b] for b in range(q)]  # 0 - b
-        inv = [0] * q
+        p, q, n = self.p, self.order, self.order - 1
+        codes = list(range(q))  # the one int object per code every entry shares
+        exp = [codes[c] for c in self._primitive_powers()]
+        log = [0] * q
+        for k, c in enumerate(exp):
+            log[c] = k
+        # row a of mul reads exp[log a + log b] at column b != 0: slice the
+        # doubled exp list at log a and gather at the logs; column 0 reads
+        # the zero appended past the slice
+        exp2 = exp + exp
+        gather = itemgetter(n, *log[1:])
+        mul = [0] * q
+        for la in log[1:]:
+            row = exp2[la:la + n]
+            row.append(0)
+            mul.extend(gather(row))
+        inv = [0] + [exp[-k] for k in log[1:]]
+        neg = mul[(p - 1) * q:p * q]  # the row of -1
+        # add row a is row a - p^k translated by p^k, for the lowest nonzero
+        # digit k of a; shift[k] gathers b + p^k at column b
+        shift = []
+        for pk in self._ppow:
+            blk, perm = pk * p, []
+            for lo in range(0, q, blk):
+                perm += codes[lo + pk:lo + blk]
+                perm += codes[lo:lo + pk]
+            shift.append(itemgetter(*perm))
+        add = codes[:]
         for a in range(1, q):
-            if inv[a]:
-                continue
-            b = self._inv_slow(a)
-            inv[a] = b
-            inv[b] = a
-        self._inv_t = inv
+            k = 0
+            while a % (self._ppow[k] * p) == 0:
+                k += 1
+            prev = (a - self._ppow[k]) * q
+            add.extend(shift[k](add[prev:prev + q]))
+        through_neg = itemgetter(*neg)  # a - b = a + (-b)
+        sub = []
+        for base in range(0, q * q, q):
+            sub.extend(through_neg(add[base:base + q]))
+        self._add_t, self._sub_t, self._mul_t = add, sub, mul
+        self._neg_t, self._inv_t = neg, inv
+
+    def _primitive_powers(self):
+        """[g^0, ..., g^(q-2)] for the least primitive element g of F_q^*;
+        each candidate costs at most q-1 products."""
+        n = self.order - 1
+        for g in range(1, self.order):
+            powers, x = [1], g
+            while x != 1 and len(powers) < n:
+                powers.append(x)
+                x = self._mul_slow(x, g)
+            if len(powers) == n:
+                return powers
 
     def _mul_slow(self, a: int, b: int) -> int:
         p, m = self.p, self.m
@@ -474,18 +509,10 @@ class FieldSpec:
         s = s + [0] * (m - len(s))
         return self.encode(s[:m])
 
-    def _maybe_build_tables(self):
-        if self._mul_t is None and self.order <= TABLE_LIMIT:
-            self._build_tables()
-            return True
-        return False
-
     def add(self, a: int, b: int) -> int:
         t = self._add_t
         if t is not None:
             return t[a * self.order + b]
-        if self._maybe_build_tables():
-            return self._add_t[a * self.order + b]
         p = self.p
         if self.m == 1:
             return (a + b) % p
@@ -495,8 +522,6 @@ class FieldSpec:
         t = self._sub_t
         if t is not None:
             return t[a * self.order + b]
-        if self._maybe_build_tables():
-            return self._sub_t[a * self.order + b]
         p = self.p
         if self.m == 1:
             return (a - b) % p
@@ -506,8 +531,6 @@ class FieldSpec:
         t = self._neg_t
         if t is not None:
             return t[a]
-        if self._maybe_build_tables():
-            return self._neg_t[a]
         p = self.p
         if self.m == 1:
             return (-a) % p
@@ -517,8 +540,6 @@ class FieldSpec:
         t = self._mul_t
         if t is not None:
             return t[a * self.order + b]
-        if self._maybe_build_tables():
-            return self._mul_t[a * self.order + b]
         return self._mul_slow(a, b)
 
     def inv(self, a: int) -> int:
@@ -527,8 +548,6 @@ class FieldSpec:
         t = self._inv_t
         if t is not None:
             return t[a]
-        if self._maybe_build_tables():
-            return self._inv_t[a]
         return self._inv_slow(a)
 
     def div(self, a: int, b: int) -> int:

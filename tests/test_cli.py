@@ -133,6 +133,17 @@ def test_family_verify_field_contains_family_field(capsys):
     assert len(json.loads(out)["verify"]["samples"]) == 5
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_family_verify_skips_degenerate_parameter(capsys, seed):
+    # t = 1 drops the fiber to degree 2; no seed may sample it
+    code, out, _ = run(capsys, "family", "wild", "x^3 + x^2 + 1 / x", "--p", "2",
+                       "--verify", "5", "--seed", str(seed), "--json")
+    rep = json.loads(out)["verify"]
+    assert code == 0 and len(rep["samples"]) == 5 and "1" not in rep["samples"]
+    assert rep["disc_constant"] and rep["length_divisor_constant"]
+    assert rep["pairwise_inequivalent"]
+
+
 def test_census_max_ext_bounds_points_only(capsys):
     # every point of P^1(F_2) is ramified for some d = 4 classes; the
     # tangent stage needs no extension, so max_ext 1 is enough without points

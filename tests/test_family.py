@@ -3,7 +3,7 @@
 import pytest
 
 from p1covers import (Cover, InputError, Poly, chart_direction, elements,
-                      enumerate_covers, make_field, osserman_family,
+                      embed, enumerate_covers, make_field, osserman_family,
                       power_family, tangent_dim, verify_family, wild_family,
                       Family)
 
@@ -43,6 +43,21 @@ def test_wild_family_constant_disc_and_inequivalent_fibers():
         covers = [fam.specialize(t) for t in elements(F9)]
         assert all(c.discriminant() == base_disc.embed(F9) for c in covers)
         assert len({c.plane() for c in covers}) == len(covers)
+
+
+def test_wild_family_refuses_degenerate_parameter():
+    # deg bump = d: at t = -lc(g)/lc(bump) the fiber loses degree
+    F2 = make_field(2)
+    fam = wild_family(Cover.parse("x^3 + x^2 + 1 / x", F2))
+    bad = fam.degenerate_parameter()
+    assert bad == F2.one()
+    with pytest.raises(InputError):
+        fam.specialize(bad)
+    with pytest.raises(InputError):
+        fam.specialize(embed(bad, make_field(2, 3)))
+    assert fam.specialize(F2.zero()).d == 3
+    assert power_family(3).degenerate_parameter() is None
+    assert wild_family(Cover.parse("x^4", F3)).degenerate_parameter() is None
 
 
 def test_power_family():

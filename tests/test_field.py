@@ -3,9 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from p1covers import (InputError, arith, elements, embed, frobenius, make_field,
                       FieldElement)
+from p1covers.field import TABLE_LIMIT
+
+TABLED = [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 10)
+          if p ** m <= TABLE_LIMIT]
 
 
 def brute_irreducible(p, coeffs):
@@ -244,3 +249,69 @@ def test_element_comparisons_and_hash():
     assert hash(a) == hash(FieldElement(F9, 5))
     assert F9.element(2) < a
     assert bool(F9.zero()) is False and bool(a) is True
+
+
+def digit_expansion(code, p, m):
+    out = []
+    for _ in range(m):
+        code, r = divmod(code, p)
+        out.append(r)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,m", TABLED)
+def test_tables_match_slow_arithmetic(p, m, monkeypatch):
+    # every pair up to 256 elements; above, all columns of a few rows
+    spec = make_field(p, m)
+    q = spec.order
+    if q <= 256:
+        rows = range(q)
+    else:
+        rows = sorted({0, 1, q - 1, *random.Random(q).sample(range(2, q - 1), 16)})
+    digits = [digit_expansion(c, p, m) for c in range(q)]
+    code = {d: c for c, d in enumerate(digits)}
+    assert spec._neg_t == [code[tuple(-x % p for x in d)] for d in digits]
+    assert spec._inv_t == [0] + [spec._inv_slow(a) for a in range(1, q)]
+    for a in rows:
+        da = digits[a]
+        assert spec._add_t[a * q:a * q + q] == [
+            code[tuple((x + y) % p for x, y in zip(da, db))] for db in digits]
+        assert spec._sub_t[a * q:a * q + q] == [
+            code[tuple((x - y) % p for x, y in zip(da, db))] for db in digits]
+        assert spec._mul_t[a * q:a * q + q] == [spec._mul_slow(a, b) for b in range(q)]
+    if m > 1:
+        # the products above took the packed-int path; now the digit vectors
+        assert spec._pack is not None
+        monkeypatch.setattr(spec, "_pack", None)
+        for a in rows:
+            assert spec._mul_t[a * q:a * q + q] == [spec._mul_slow(a, b) for b in range(q)]
+
+
+@pytest.mark.parametrize("p,m", [(3, 7), (5, 6)])
+def test_decode_caches_match_divmod_expansion(p, m):
+    spec = make_field(p, m)
+    spec._build_decode_cache()
+    bits = spec._pack_bits
+    digits = [digit_expansion(c, p, m) for c in range(spec.order)]
+    assert spec._dec == digits
+    assert spec._pack == [sum(d << (i * bits) for i, d in enumerate(ds)) for ds in digits]
+
+
+@pytest.mark.parametrize("p,m,path", [(3, 7, "packed"), (2, 11, "packed"), (7, 8, "digits")])
+def test_field_axioms_untabled(p, m, path):
+    spec = make_field(p, m)
+    element = st.integers(0, spec.order - 1).map(lambda c: FieldElement(spec, c))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(element, element, element)
+    def axioms(a, b, c):
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        if a.code:
+            assert (a * (spec.one() / a)).code == 1
+        assert frobenius(a + b) == frobenius(a) + frobenius(b)
+        assert frobenius(a * b) == frobenius(a) * frobenius(b)
+
+    axioms()
+    assert spec._mul_t is None
+    assert (spec._pack is not None) == (path == "packed")
