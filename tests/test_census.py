@@ -1,6 +1,7 @@
 """Census counts, record structure, theorem verification, determinism."""
 
 import json
+import random
 from itertools import product as iproduct
 
 import pytest
@@ -8,15 +9,22 @@ import pytest
 from p1covers import (BudgetExceeded, Cover, Mobius, Poly, census_by_disc,
                       enumerate_covers, make_field, raw_plane_count,
                       verify_theorem_char23)
-from p1covers.poly import raw_rref
+from p1covers.census import (_admissible, _class_total, _materialize_divisor,
+                             _merge_tables, _prefix_tasks, _scaling, _scan_chunk,
+                             _substitute, _tangent_dim_raw)
+from p1covers.field import FieldElement
+from p1covers.poly import (raw_deriv, raw_gcd, raw_monic, raw_mul, raw_rref,
+                           raw_sub, raw_trim)
 
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
+F7 = make_field(7)
 F8 = make_field(2, 3)
 F9 = make_field(3, 2)
 F16 = make_field(2, 4)
+F49 = make_field(7, 2)
 
 
 def brute_plane_count(spec, d):
@@ -279,9 +287,10 @@ def test_census_tangent_dims_match_object_layer():
     assert_tangent_dims_match_object_layer(F3, 3)
 
 
-# F_2 d = 4 holds classes whose chart form needs F_4
+# F_2 d = 4 holds classes whose chart form needs F_4; the scaling orbits
+# reach size 6 over F_7 and 8 over F_9
 @pytest.mark.parametrize("spec,d", [(F2, 1), (F2, 2), (F2, 3), (F2, 4), (F2, 5),
-                                    (F4, 3), (F5, 3), (F8, 3)])
+                                    (F4, 3), (F5, 3), (F8, 3), (F7, 3), (F9, 2)])
 def test_census_tangent_dims_match_object_layer_over(spec, d):
     assert_tangent_dims_match_object_layer(spec, d)
 
@@ -291,3 +300,124 @@ def test_census_points_flag():
     assert all(rec.lengths is None and not rec.split_ok for rec in res.records)
     res2 = census_by_disc(F3, 2, points=True)
     assert all(rec.lengths is not None for rec in res2.records)
+
+
+def full_slice(S, d, c2):
+    """Reference: every admissible (g, h, disc) with pivots at (0, c2),
+    the whole slice in scan order, as the census scanned it before it
+    took one class per scaling orbit."""
+    q = S.order
+    free_g = [j for j in range(1, d + 1) if j != c2]
+    free_h = list(range(c2 + 1, d + 1))
+    for gvals in iproduct(range(q), repeat=len(free_g)):
+        g = [0] * (d + 1)
+        g[d] = 1
+        for j, v in zip(free_g, gvals):
+            g[d - j] = v
+        g = raw_trim(g)
+        gp = raw_deriv(S, g)
+        for hvals in iproduct(range(q), repeat=len(free_h)):
+            h = [0] * (d + 1)
+            h[d - c2] = 1
+            for j, v in zip(free_h, hvals):
+                h[d - j] = v
+            h = raw_trim(h)
+            if len(raw_gcd(S, g, h)) > 1:
+                continue
+            disc = raw_sub(S, raw_mul(S, h, gp), raw_mul(S, g, raw_deriv(S, h)))
+            if disc:
+                yield g, h, disc
+
+
+def counts_and_dims(table):
+    return {key: [rec[0], rec[1]] for key, rec in table.items()}
+
+
+@pytest.mark.parametrize("spec,d", [(spec, d) for spec in (F3, F4, F5, F7, F8, F9)
+                                    for d in (1, 2, 3)] + [(F4, 4), (F5, 4)])
+def test_scaling_transversal_matches_full_scan(spec, d):
+    exp, log = _scaling(spec, d)
+    reference, expanded = [], []
+    ref_table = {}
+    orbit_sizes = 0
+    for c2 in range(1, d + 1):
+        for g, h, disc in full_slice(spec, d, c2):
+            reference.append((tuple(g), tuple(h)))
+            rec = ref_table.setdefault(tuple(raw_monic(spec, disc)), [0, {}])
+            rec[0] += 1
+            dim = _tangent_dim_raw(spec, g, h, d, disc)
+            rec[1][dim] = rec[1].get(dim, 0) + 1
+        for g, h, disc, s in _admissible(spec, d, c2, log):
+            orbit_sizes += s
+            expanded.append((tuple(g), tuple(h)))
+            expanded.extend((tuple(raw_monic(spec, _substitute(exp, log, g, k))),
+                             tuple(raw_monic(spec, _substitute(exp, log, h, k))))
+                            for k in range(1, s))
+    assert len(set(expanded)) == len(expanded)       # each class exactly once
+    assert set(expanded) == set(reference)
+    assert orbit_sizes == len(reference) == _class_total(spec.p, spec.m, d)
+    table = {}
+    for c2 in range(1, d + 1):
+        _merge_tables(table, _scan_chunk((spec.p, spec.m, d, c2, (), True)))
+    assert counts_and_dims(table) == ref_table
+    # a link names its orbit's first key and the scaling that reaches the key
+    for key, (_, _, link) in table.items():
+        if link is not None:
+            first, k = link
+            assert table[first][2] is None
+            assert tuple(raw_monic(spec, _substitute(exp, log, first, k))) == key
+
+
+@pytest.mark.parametrize("spec,d", [(F4, 4), (F9, 3)])
+def test_prefix_tasks_split_the_slice(spec, d):
+    for c2 in range(1, d + 1):
+        whole = _scan_chunk((spec.p, spec.m, d, c2, (), True))
+        for k in range(1, d):
+            tasks = _prefix_tasks(spec, d, c2, k, True)
+            assert len(tasks) < spec.order ** k     # unreachable prefixes dropped
+            merged = {}
+            for task in tasks:
+                _merge_tables(merged, _scan_chunk(task))
+            assert counts_and_dims(merged) == counts_and_dims(whole)
+
+
+# F_9 d = 3 stops at F_{9^3}, the largest tabled extension, to keep root
+# finding cheap; F_49 d = 2 puts points in F_{49^2}, which has no tables
+@pytest.mark.parametrize("spec,d,max_ext", [(F4, 3, 4), (F8, 3, 4), (F9, 3, 3),
+                                            (F49, 2, 4)])
+def test_census_points_match_direct_root_finding(spec, d, max_ext, monkeypatch):
+    import p1covers.census as census_mod
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _materialize_divisor(*args)
+
+    monkeypatch.setattr(census_mod, "_materialize_divisor", counted)
+    res = census_by_disc(spec, d, max_ext=max_ext, with_tangent=False, points=True)
+    assert len(calls) < len(res.records)           # some points come by scaling
+    for rec in res.records:
+        want = _materialize_divisor(spec, rec.disc.c, rec.l_inf, max_ext)
+        assert (rec.lengths, rec.split_ok) == want, str(rec.disc)
+
+
+@pytest.mark.parametrize("p,m", [(2, 10), (3, 7)])
+def test_scaling_images_without_tables(p, m):
+    # no _mul_t in these fields: the images come from the exp/log lists and
+    # must match substituting a*x into the polynomial with field products
+    S = make_field(p, m)
+    assert S._mul_t is None
+    exp, log = _scaling(S, 2)
+    n = S.order - 1
+    assert len(exp) == n and len(set(exp)) == n
+    assert all(S.mul(exp[k], exp[1]) == exp[(k + 1) % n] for k in range(0, n, 97))
+    rng = random.Random(1000 * p + m)
+    for _ in range(40):
+        D = [rng.randrange(S.order) for _ in range(rng.randrange(1, 7))]
+        D.append(rng.randrange(1, S.order))
+        k = rng.randrange(n)
+        ax = Poly.monomial(S, 1, FieldElement(S, exp[k]))
+        image = Poly.zero(S)
+        for c in reversed(Poly._raw(S, D).coeffs()):
+            image = image * ax + Poly.constant(S, c)
+        assert raw_monic(S, _substitute(exp, log, D, k)) == list(image.monic().c)
