@@ -266,7 +266,9 @@ def _cmd_census(args):
         # string keys, so that --json sorts dimensions as text
         violations = tame_violations(result.records, dim_key=str)
     summary["violations"] = violations
-    payload = {"summary": summary, "records": [r.to_json() for r in result.records]}
+    # the record list is only printed as JSON, so text output skips building it
+    records = [r.to_json() for r in result.records] if args.json else None
+    payload = {"summary": summary, "records": records}
     lines = [f"census over GF({spec.order}), degree {args.d}:",
              f"  raw planes (Gaussian binomial): {result.raw_planes}",
              f"  separable base-point-free classes: {result.total_classes}",

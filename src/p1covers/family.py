@@ -16,6 +16,7 @@ t-component of the resulting chart pair is the tangent vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .cover import Cover, INF
@@ -173,7 +174,7 @@ def verify_family(fam: Family, ts, max_ext: int = 4) -> dict:
     for t in ts:
         if t.spec.p != fam.spec.p:
             raise InputError("sample parameter of wrong characteristic")
-        deg = deg * t.spec.m // _gcd_int(deg, t.spec.m)
+        deg = math.lcm(deg, t.spec.m)
     K = make_field(fam.spec.p, deg)
     ts_K = [FieldElement(K, K.embed_code(t.code, t.spec)) for t in ts]
     covers = [fam.specialize(t) for t in ts_K]
@@ -184,7 +185,7 @@ def verify_family(fam: Family, ts, max_ext: int = 4) -> dict:
     if len(specs) > 1:
         join = 1
         for sp in specs:
-            join = join * sp.m // _gcd_int(join, sp.m)
+            join = math.lcm(join, sp.m)
         J = make_field(fam.spec.p, join)
         divisors = [div.embed(J) for div in divisors]
     length_divisor_constant = all(div == divisors[0] for div in divisors)
@@ -208,12 +209,6 @@ def verify_family(fam: Family, ts, max_ext: int = 4) -> dict:
         "ram_indices": ram_indices,
         "pairwise_inequivalent": pairwise_inequivalent,
     }
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,16 @@ code. Larger extensions fall back to packed-integer arithmetic (up to
 `itertools.product`) or to digit-vector arithmetic, both with
 precomputed modular reduction rows.
 
-Field construction is deterministic: `make_field(p, m)` picks the
-lexicographically least monic irreducible modulus of degree m over F_p,
-comparing coefficient sequences low degree first. Embeddings between
-fields send the source generator to the least root of the source modulus
-in the target, so they are deterministic too.
+This module only knows field elements: every polynomial step it needs
+runs on `poly`'s raw layer. Field construction is deterministic:
+`make_field(p, m)` picks the lexicographically least monic irreducible
+modulus of degree m over F_p, comparing coefficient sequences low degree
+first, and tests each candidate with Rabin's test over F_p. Untabled
+inversion is extended Euclid against the modulus over F_p. Embeddings
+between fields send the source generator to the least root of the source
+modulus in the target: one root comes from splitting the modulus there
+(`poly._split_root`), and the others are its Frobenius conjugates. So
+embeddings are deterministic too.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .errors import InputError
 PRIME_LIMIT = 13
 MAX_EXT_DEGREE = 12
 TABLE_LIMIT = 729
-_SCAN_LIMIT = TABLE_LIMIT  # brute-force root scans only in tabled fields
 
 
 def _is_prime(n: int) -> bool:
@@ -53,121 +57,23 @@ def _is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over F_p as plain int lists (little-endian, trimmed).
-# Only what the modulus search and big-field arithmetic need.
-
-
-def _pp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pp_mul(p, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-    return _pp_trim(out)
-
-
-def _pp_rem(p, a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, -1, p)
-    while len(a) - 1 >= db and a:
-        k = len(a) - 1 - db
-        f = (a[-1] * inv_lb) % p
-        if f:
-            for j, bj in enumerate(b):
-                a[k + j] = (a[k + j] - f * bj) % p
-        a.pop()
-        _pp_trim(a)
-    return a
-
-
-def _pp_gcd(p, a, b):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pp_rem(p, a, b)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _pp_powmod_x(p, e, mod):
-    """x^e mod `mod` over F_p by square and multiply."""
-    result = [1]
-    base = _pp_rem(p, [0, 1], mod)
-    while e:
-        if e & 1:
-            result = _pp_rem(p, _pp_mul(p, result, base), mod)
-        base = _pp_rem(p, _pp_mul(p, base, base), mod)
-        e >>= 1
-    return result
-
-
-def _pp_sub(p, a, b):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _pp_trim(out)
-
-
-def _pp_xgcd(p, a, b):
-    """(g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        # long division quotient of r0 by r1
-        r = list(r0)
-        db, lb = len(r1) - 1, r1[-1]
-        inv_lb = pow(lb, -1, p)
-        q = [0] * max(len(r) - db, 1)
-        while r and len(r) - 1 >= db:
-            k = len(r) - 1 - db
-            f = (r[-1] * inv_lb) % p
-            q[k] = f
-            if f:
-                for j, bj in enumerate(r1):
-                    r[k + j] = (r[k + j] - f * bj) % p
-            r.pop()
-            _pp_trim(r)
-        _pp_trim(q)
-        r0, r1 = r1, r
-        s0, s1 = s1, _pp_sub(p, s0, _pp_mul(p, q, s1))
-        t0, t1 = t1, _pp_sub(p, t0, _pp_mul(p, q, t1))
-    if r0:
-        inv = pow(r0[-1], -1, p)
-        r0 = [(c * inv) % p for c in r0]
-        s0 = [(c * inv) % p for c in s0]
-        t0 = [(c * inv) % p for c in t0]
-    return r0, s0, t0
+# Modulus search: Rabin's test on poly's raw layer over F_p. poly imports
+# this module, so its functions are imported where they are called.
 
 
 def _irreducible(p, coeffs):
     """Rabin test for a monic polynomial given by its full coefficient list."""
+    from .poly import raw_gcd, raw_pow_mod, raw_sub
+    P = _make_field_cached(p, 1)
     m = len(coeffs) - 1
-    xq = _pp_powmod_x(p, p ** m, coeffs)
-    if xq != [0, 1]:
+    x = [0, 1]
+    if raw_pow_mod(P, x, p ** m, coeffs) != x:
         return False
     for t in _prime_divisors(m):
-        g = _pp_gcd(p, _pp_trim(_sub_x(p, _pp_powmod_x(p, p ** (m // t), coeffs))), coeffs)
-        if len(g) - 1 != 0:
+        g = raw_gcd(P, raw_sub(P, raw_pow_mod(P, x, p ** (m // t), coeffs), x), coeffs)
+        if len(g) != 1:
             return False
     return True
-
-
-def _sub_x(p, a):
-    b = list(a) + [0] * (2 - len(a))
-    b[1] = (b[1] - 1) % p
-    return b
 
 
 def _prime_divisors(n):
@@ -192,128 +98,6 @@ def _least_irreducible(p, m):
         if _irreducible(p, coeffs):
             return tuple(coeffs)
     raise RuntimeError(f"no irreducible polynomial of degree {m} over F_{p}")
-
-
-# ---------------------------------------------------------------------------
-# Generic code-level polynomial helpers, used only by the root finder that
-# backs deterministic embeddings into large fields.
-
-
-def _craw_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _craw_mul(spec, a, b):
-    if not a or not b:
-        return []
-    mul, add = spec.mul, spec.add
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-    return _craw_trim(out)
-
-
-def _craw_rem(spec, a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv_lb = 1 if b[-1] == 1 else spec.inv(b[-1])
-    mul, sub = spec.mul, spec.sub
-    while a and len(a) - 1 >= db:
-        k = len(a) - 1 - db
-        f = a[-1] if inv_lb == 1 else mul(a[-1], inv_lb)
-        if f:
-            for j, bj in enumerate(b):
-                if bj:
-                    a[k + j] = sub(a[k + j], mul(f, bj))
-        a.pop()
-        _craw_trim(a)
-    return a
-
-
-def _craw_gcd(spec, a, b):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _craw_rem(spec, a, b)
-    if a:
-        inv = spec.inv(a[-1])
-        a = [spec.mul(c, inv) for c in a]
-    return a
-
-
-def _craw_powmod(spec, base, e, mod):
-    result = [1]
-    base = _craw_rem(spec, list(base), mod)
-    while e:
-        if e & 1:
-            result = _craw_rem(spec, _craw_mul(spec, result, base), mod)
-        base = _craw_rem(spec, _craw_mul(spec, base, base), mod)
-        e >>= 1
-    return result
-
-
-def _split_root(spec, f):
-    """One root of f, which must split into distinct linear factors over spec.
-
-    Deterministic: splitting attempts are tried in the fixed element
-    order. The caller canonicalizes via Galois conjugates, so which root
-    comes out does not matter.
-    """
-    h = list(f)
-    inv = spec.inv(h[-1])
-    h = [spec.mul(c, inv) for c in h]
-    p, q = spec.p, spec.order
-    while len(h) - 1 > 1:
-        found = None
-        if p != 2:
-            e = (q - 1) // 2
-            for c in range(q):
-                s = _craw_powmod(spec, [c, 1], e, h)
-                s = list(s) + [0] * (1 - len(s))
-                s[0] = spec.sub(s[0], 1)
-                g = _craw_gcd(spec, _craw_trim(s), h)
-                if 0 < len(g) - 1 < len(h) - 1:
-                    found = g
-                    break
-        else:
-            for b in range(1, q):
-                acc = []
-                cur = [0, b]
-                for _ in range(spec.m):
-                    acc = _craw_trim([spec.add(x, y) for x, y in
-                                      zip(acc + [0] * len(cur), cur + [0] * len(acc))])
-                    cur = _craw_rem(spec, _craw_mul(spec, cur, cur), h)
-                g = _craw_gcd(spec, acc, h)
-                if 0 < len(g) - 1 < len(h) - 1:
-                    found = g
-                    break
-        if found is None:
-            raise RuntimeError("root splitting failed on a polynomial assumed split")
-        h = found if len(found) - 1 <= (len(h) - 1) // 2 else _craw_quo_monic(spec, h, found)
-    return spec.neg(h[0])
-
-
-def _craw_quo_monic(spec, a, b):
-    """Exact quotient a/b for monic b dividing a."""
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    mul, sub = spec.mul, spec.sub
-    db = len(b) - 1
-    while a and len(a) - 1 >= db:
-        k = len(a) - 1 - db
-        f = a[-1]
-        out[k] = f
-        if f:
-            for j, bj in enumerate(b):
-                if bj:
-                    a[k + j] = sub(a[k + j], mul(f, bj))
-        a.pop()
-        _craw_trim(a)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +286,19 @@ class FieldSpec:
         p, m = self.p, self.m
         if m == 1:
             return pow(a, -1, p)
-        da = _pp_trim(list(self.decode(a)))
-        g, s, _ = _pp_xgcd(p, da, list(self.modulus))
-        if len(g) != 1:
+        # extended Euclid on (modulus, a) over F_p, keeping only the
+        # cofactor s_i of a in r_i = s_i*a mod modulus
+        from .poly import raw_divrem, raw_mul, raw_scale, raw_sub, raw_trim
+        P = _make_field_cached(p, 1)
+        r0, r1 = list(self.modulus), raw_trim(list(self.decode(a)))
+        s0, s1 = [], [1]
+        while r1:
+            quo, rem = raw_divrem(P, r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, raw_sub(P, s0, raw_mul(P, quo, s1))
+        if len(r0) != 1:
             raise ZeroDivisionError("element not invertible")
-        s = s + [0] * (m - len(s))
-        return self.encode(s[:m])
+        return self.encode(raw_scale(P, s0, P.inv(r0[0])))
 
     def add(self, a: int, b: int) -> int:
         t = self._add_t
@@ -579,25 +370,15 @@ class FieldSpec:
         img = self._embed_images.get(key)
         if img is not None:
             return img
-        mu = list(source.modulus)  # F_p coefficients double as codes here
-        if self.order <= _SCAN_LIMIT:
-            root = None
-            for cand in range(self.order):
-                acc = 0
-                for c in reversed(mu):
-                    acc = self.add(self.mul(acc, cand), c)
-                if acc == 0:
-                    root = cand
-                    break
-            if root is None:
-                raise RuntimeError("modulus has no root in the target field")
-        else:
-            r = _split_root(self, mu)
-            conj = []
-            for _ in range(source.m):
-                conj.append(r)
-                r = self.frob_code(r)
-            root = min(conj)
+        # the roots of the source modulus are one root's Frobenius
+        # conjugates; F_p coefficients double as codes here
+        from .poly import _split_root
+        r = _split_root(self, list(source.modulus))
+        conj = []
+        for _ in range(source.m):
+            conj.append(r)
+            r = self.frob_code(r)
+        root = min(conj)
         self._embed_images[key] = root
         return root
 

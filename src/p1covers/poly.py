@@ -4,23 +4,24 @@ field extensions and the exact linear algebra used downstream.
 Two layers. The `raw_*` functions operate on plain lists of element codes
 (little-endian, trailing zeros trimmed, [] is the zero polynomial) and
 carry fast paths for table-backed fields; the census enumeration lives on
-this layer. The `Poly` / `FieldMatrix` / `PolyMatrix` classes wrap the
+this layer. It is the library's only polynomial code: `field` runs its
+modulus search, untabled inversion and embeddings on it over F_p or the
+target field. The `Poly` / `FieldMatrix` / `PolyMatrix` classes wrap the
 same routines behind an immutable interface.
 
 Factorization strategy is deliberately elementary: squarefree
 decomposition with the characteristic-p p-th-power extraction step,
 distinct-degree splitting by gcd with x^(q^r) - x, and per-degree root
-extraction (exhaustive scan in table-backed fields, deterministic
-gcd-splitting plus Galois orbits above that). Matrix ranks over the
-rational function field k(X) use fraction-free elimination so no general
-rational-function type is ever needed.
+extraction (exhaustive scan in small fields, deterministic Cantor-
+Zassenhaus equal-degree splitting plus Galois orbits above that). Matrix
+ranks over the rational function field k(X) use fraction-free elimination
+so no general rational-function type is ever needed.
 """
 
 from __future__ import annotations
 
 from .errors import InputError
-from .field import (MAX_EXT_DEGREE, FieldElement, FieldSpec, _split_root,
-                    make_field)
+from .field import MAX_EXT_DEGREE, FieldElement, FieldSpec, make_field
 
 # ---------------------------------------------------------------------------
 # raw layer: coefficient lists of codes
@@ -312,6 +313,42 @@ def raw_ddf(S, f, cap=None):
             rem = raw_quo_exact(S, rem, g)
             if len(rem) > 1:
                 b = raw_rem(S, b, rem)
+
+
+def _split_root(S, f):
+    """One root of f, which must split into distinct linear factors over S.
+
+    Equal-degree splitting (Cantor-Zassenhaus) with candidates tried in
+    the fixed element order: gcd(h, (x+c)^((q-1)/2) - 1) for c = 0, 1, ...
+    when p is odd, and gcd(h, Tr(b*x)) for b = 1, 2, ... when p = 2. The
+    caller canonicalizes via Galois conjugates, so which root comes out
+    does not matter.
+    """
+    h = raw_monic(S, f)
+    q = S.order
+    while len(h) > 2:
+        if S.p != 2:
+            e = (q - 1) // 2
+            splitters = (raw_sub(S, raw_pow_mod(S, [c, 1], e, h), [1]) for c in range(q))
+        else:
+            splitters = (_trace_mod(S, [0, b], h) for b in range(1, q))
+        for s in splitters:
+            g = raw_gcd(S, s, h)
+            if 1 < len(g) < len(h):
+                break
+        else:
+            raise RuntimeError("root splitting failed on a polynomial assumed split")
+        h = g if len(g) - 1 <= (len(h) - 1) // 2 else raw_quo_exact(S, h, g)
+    return S.neg(h[0])
+
+
+def _trace_mod(S, a, h):
+    """a + a^2 + a^4 + ... + a^(2^(m-1)) mod h, over S = F_{2^m}."""
+    acc = []
+    for _ in range(S.m):
+        acc = raw_add(S, acc, a)
+        a = raw_rem(S, raw_mul(S, a, a), h)
+    return acc
 
 
 _ROOT_SCAN_LIMIT = 128

@@ -159,6 +159,19 @@ def test_census_human(capsys):
     assert "classes" in out
 
 
+def test_census_text_builds_no_json_records(capsys, monkeypatch):
+    from p1covers.census import CensusRecord
+    code1, out1, _ = run(capsys, "census", "--p", "3", "--d", "3")
+
+    def refuse(self):
+        raise AssertionError("a text census built a JSON record")
+
+    monkeypatch.setattr(CensusRecord, "to_json", refuse)
+    code2, out2, _ = run(capsys, "census", "--p", "3", "--d", "3")
+    assert code1 == code2 == 0 and out1 == out2
+    assert "records (distinct discriminants)" in out2
+
+
 def test_census_threads_match(capsys):
     code1, out1, _ = run(capsys, "census", "--p", "3", "--d", "3", "--json")
     code2, out2, _ = run(capsys, "census", "--p", "3", "--d", "3", "--json",

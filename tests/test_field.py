@@ -67,7 +67,8 @@ def test_make_field_moduli_examples():
     assert make_field(2, 2).modulus == (1, 1, 1)      # x^2 + x + 1
 
 
-@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p,m", [(p, m) for p, m in TABLED if m > 1]
+                         + [(2, 10), (2, 12), (3, 7), (3, 8), (5, 6), (7, 4), (13, 4)])
 def test_modulus_is_least_irreducible(p, m):
     assert make_field(p, m).modulus == least_irreducible_oracle(p, m)
 

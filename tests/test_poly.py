@@ -210,6 +210,61 @@ def test_squarefree_structure_against_trial_division(spec, max_deg):
         assert sqf == expected
 
 
+def _sympy_dense(a):
+    """Little-endian code list -> sympy's big-endian dense list."""
+    return list(reversed(a))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_sqf_and_ddf_match_sympy(p):
+    # sympy (test-only) as an independent oracle over prime fields
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_sqf_list
+    from p1covers.poly import raw_ddf, raw_monic, raw_mul, raw_sqf_list
+
+    S = make_field(p)
+    rng = random.Random(5000 + p)
+    for _ in range(40):
+        # products of small random factors with multiplicities up to p + 1,
+        # so the p-th-root step of the squarefree split is reached
+        f = [rng.randrange(1, p)]
+        for _ in range(rng.randint(1, 4)):
+            fac = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+            for _ in range(rng.randint(1, p + 1)):
+                f = raw_mul(S, f, fac)
+        lc, expected = gf_sqf_list(_sympy_dense(f), p, ZZ)
+        assert lc == f[-1]
+        merged = {}
+        for g, k in expected:
+            merged[k] = raw_mul(S, merged.get(k, [1]), list(reversed(g)))
+        got = {k: g for g, k in raw_sqf_list(S, f)}
+        assert len(got) == len(raw_sqf_list(S, f))
+        assert got == merged
+        for g in got.values():
+            pieces, leftover = raw_ddf(S, g)
+            assert leftover is None
+            want = {r: list(reversed(h)) for h, r in
+                    gf_ddf_zassenhaus(_sympy_dense(raw_monic(S, g)), p, ZZ)}
+            assert {r: h for h, r in pieces} == want
+
+
+@pytest.mark.parametrize("p,m", [(2, 8), (5, 4), (2, 10), (3, 7)])
+def test_split_root_returns_a_root(p, m):
+    # both splitting branches (p = 2 trace, odd p powering), on both sides
+    # of the table limit
+    from p1covers.poly import _split_root, raw_mul, raw_scale
+    S = make_field(p, m)
+    assert (S._mul_t is not None) == (S.order <= 729)
+    rng = random.Random(p ** m)
+    for _ in range(12):
+        roots = rng.sample(range(S.order), rng.randint(2, 5))
+        f = [1]
+        for r in roots:
+            f = raw_mul(S, f, [S.neg(r), 1])
+        f = raw_scale(S, f, rng.randrange(1, S.order))
+        assert _split_root(S, f) in roots
+
+
 def test_roots_mixed_degrees_partial_split():
     # exact degrees 2 and 3 need F_9 and F_27; no single extension of
     # degree <= 4 holds both, so the smaller-mass factor stays residual
