@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import InputError
 from .field import FieldSpec
 from .poly import (Poly, PolyMatrix, polymat_canonical_rows, polymat_kernel,
-                   polymat_rank, raw_trim)
+                   polymat_rank, raw_T, raw_trim)
 
 
 def apply_T(f: Poly, q: Poly) -> Poly:
@@ -26,7 +26,7 @@ def apply_T(f: Poly, q: Poly) -> Poly:
     if f.is_zero():
         raise InputError("the defining polynomial f must be non-zero")
     f._check(q)
-    return q * f.derivative() - f * q.derivative()
+    return Poly._raw(f.spec, raw_T(f.spec, list(f.c), list(q.c)))
 
 
 def decompose(q: Poly) -> list[Poly]:

@@ -357,6 +357,8 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
     """
     if d < 1:
         raise InputError("census degree must be at least 1")
+    if processes < 1:
+        raise InputError("a census needs at least one process")
     q = spec.order
     total = raw_plane_count(q, d)
     if total > budget:

@@ -221,6 +221,8 @@ def _cmd_tangent(args):
 
 
 def _cmd_family(args):
+    if args.verify < 0:
+        raise InputError("--verify needs a non-negative number of samples")
     spec = _field(args)
     if args.kind == "wild":
         if args.cover is None:

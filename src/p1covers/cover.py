@@ -15,8 +15,12 @@ deformation solver: g monic of degree d with no x^(d-1) term, h monic of
 degree d-1, the map unramified at infinity with infinity fixed. The
 candidate for the point moved to infinity is chosen deterministically:
 infinity itself when it is unramified, else the least unramified element
-in the field order, extending the field only when no rational choice
-exists.
+in the field order of F_q, then of F_{q^2}, F_{q^3}, ... up to max_ext.
+The chart pair is the plane's echelon basis with pivots x^d, x^(d-1): the
+target change is the inverse of the pair's coefficient block at those
+degrees, which is invertible exactly when infinity is unramified (its
+determinant is the x^(2d-2) coefficient of h g' - g h'). Equivalence
+witnesses come from the same block inverse at the plane's pivot columns.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from dataclasses import dataclass
 
 from .errors import InputError, SplitBoundExceeded
 from .field import FieldElement, FieldSpec, make_field
-from .poly import (Poly, raw_deriv, raw_divrem, raw_embed, raw_eval, raw_gcd,
-                   raw_mobius_substitute, raw_monic, raw_mul, raw_rref,
-                   raw_scale, raw_sqf_list, raw_sub, roots_with_multiplicity)
+from .poly import (Poly, raw_T, raw_add, raw_divrem, raw_embed, raw_eval,
+                   raw_gcd, raw_mobius_substitute, raw_monic, raw_rref,
+                   raw_scale, raw_sqf_list, roots_with_multiplicity)
 
 
 class _Infinity:
@@ -258,8 +262,7 @@ class Cover:
         S = g.spec
         if len(raw_gcd(S, list(g.c), list(h.c))) > 1:
             raise InputError("g and h share a common factor")
-        disc = raw_sub(S, raw_mul(S, list(h.c), raw_deriv(S, list(g.c))),
-                       raw_mul(S, list(g.c), raw_deriv(S, list(h.c))))
+        disc = raw_T(S, list(g.c), list(h.c))
         if not disc:
             raise InputError("inseparable cover: h*g' - g*h' vanishes identically")
         self.g = g
@@ -381,26 +384,10 @@ class Cover:
         if p1 != other.plane():
             return None
         S, d = self.spec, self.d
-        piv_degrees = []
-        for row in p1:
-            for j, v in enumerate(row):
-                if v:
-                    piv_degrees.append(d - j)
-                    break
-        c1, c2 = piv_degrees
-        m11, m12 = self.g[c1].code, self.g[c2].code
-        m21, m22 = self.h[c1].code, self.h[c2].code
-        det = S.sub(S.mul(m11, m22), S.mul(m12, m21))
-        det_inv = S.inv(det)
-
-        def solve(t1, t2):
-            x = S.mul(det_inv, S.sub(S.mul(t1, m22), S.mul(t2, m21)))
-            y = S.mul(det_inv, S.sub(S.mul(t2, m11), S.mul(t1, m12)))
-            return x, y
-
-        a, b = solve(other.g[c1].code, other.g[c2].code)
-        c, dd = solve(other.h[c1].code, other.h[c2].code)
-        witness = Mobius.from_codes(S, a, b, c, dd)
+        c1, c2 = (d - next(j for j, v in enumerate(row) if v) for row in p1)
+        block = (other.g[c1].code, other.g[c2].code, other.h[c1].code, other.h[c2].code)
+        inverse = _pivot_inverse(S, self.g.c, self.h.c, c1, c2)
+        witness = Mobius.from_codes(S, *_m2_mul(S, block, inverse))
         check = self.postcompose(witness)
         if check.g != other.g or check.h != other.h:
             raise ArithmeticError("equivalence witness failed verification")
@@ -518,62 +505,48 @@ def _m2_mul(S, A, B):
     return (a, b, c, d)
 
 
+def _pivot_inverse(S, g, h, c1, c2):
+    """Inverse of the block [[g_c1, g_c2], [h_c1, h_c2]] of the raw pair's
+    coefficients at degrees c1, c2, as codes (a, b, c, d); None when the
+    block is singular. Applied to (g, h) it gives the basis of their plane
+    that is the identity on those two columns."""
+    a, b = (g[c] if c < len(g) else 0 for c in (c1, c2))
+    c, d = (h[c] if c < len(h) else 0 for c in (c1, c2))
+    det = S.sub(S.mul(a, d), S.mul(b, c))
+    if not det:
+        return None
+    r = S.inv(det)
+    return (S.mul(d, r), S.neg(S.mul(b, r)), S.neg(S.mul(c, r)), S.mul(a, r))
+
+
+def _raw_postcompose(S, A, g, h):
+    """(a g + b h, c g + d h) for A = (a, b, c, d) codes."""
+    return (raw_add(S, raw_scale(S, g, A[0]), raw_scale(S, h, A[1])),
+            raw_add(S, raw_scale(S, g, A[2]), raw_scale(S, h, A[3])))
+
+
 def _raw_normalize(S, g, h, d, disc_raw, max_ext):
     """Chart-normalize raw data; returns (spec, gN, hN, source, target).
 
-    source is (a, b, c, d) codes or None for identity; target is the
-    accumulated 2x2 post-composition matrix as codes.
+    source is (a, b, c, d) codes or None for identity. The chart pair is
+    the plane's echelon basis with pivots x^d, x^(d-1), so target is the
+    inverse of the pair's coefficient block at those two degrees.
     """
-    l_inf = (2 * d - 2) - (len(disc_raw) - 1)
-    if l_inf == 0:
-        src = None
-    else:
-        Q = None
-        for code in range(S.order):
-            if raw_eval(S, disc_raw, code) != 0:
-                Q = code
+    src = None
+    if len(disc_raw) - 1 < 2 * d - 2:  # ramified at infinity
+        base = S
+        for r in range(1, max(max_ext, 1) + 1):
+            S = base if r == 1 else make_field(base.p, base.m * r)
+            disc = raw_embed(base, S, disc_raw)
+            Q = next((x for x in range(S.order) if raw_eval(S, disc, x)), None)
+            if Q is not None:
                 break
         if Q is None:
-            found = False
-            for r in range(2, max_ext + 1):
-                T = make_field(S.p, S.m * r)
-                g = raw_embed(S, T, g)
-                h = raw_embed(S, T, h)
-                disc_raw = raw_embed(S, T, disc_raw)
-                S = T
-                for code in range(S.order):
-                    if raw_eval(S, disc_raw, code) != 0:
-                        Q = code
-                        found = True
-                        break
-                if found:
-                    break
-            if Q is None:
-                raise SplitBoundExceeded(
-                    f"no unramified point within extension degree {max_ext}")
+            raise SplitBoundExceeded(
+                f"no unramified point within extension degree {max_ext}")
         src = (Q, 1, 1, 0)  # x -> (Qx + 1)/x sends infinity to Q
-        g, h = (raw_mobius_substitute(S, g, d, Q, 1, 1, 0),
-                raw_mobius_substitute(S, h, d, Q, 1, 1, 0))
-    tgt = (1, 0, 0, 1)
-    dg, dh = len(g) - 1, len(h) - 1
-    if dg == d and dh < d:
-        pass
-    elif dh == d and dg < d:
-        g, h = h, g
-        tgt = _m2_mul(S, (0, 1, 1, 0), tgt)
-    else:
-        v = S.mul(g[-1], S.inv(h[-1]))
-        g, h = h, raw_sub(S, g, raw_scale(S, h, v))
-        tgt = _m2_mul(S, (0, 1, 1, S.neg(v)), tgt)
-    if len(g) - 1 != d or len(h) - 1 != d - 1:
+        g, h = (raw_mobius_substitute(S, raw_embed(base, S, P), d, *src) for P in (g, h))
+    tgt = _pivot_inverse(S, g, h, d, d - 1)
+    if tgt is None:
         raise ArithmeticError("chart normalization produced wrong degrees")
-    lg, lh = S.inv(g[-1]), S.inv(h[-1])
-    if lg != 1 or lh != 1:
-        g = raw_scale(S, g, lg)
-        h = raw_scale(S, h, lh)
-        tgt = _m2_mul(S, (lg, 0, 0, lh), tgt)
-    shear = g[d - 1] if len(g) > d - 1 else 0
-    if shear:
-        g = raw_sub(S, g, raw_scale(S, h, shear))
-        tgt = _m2_mul(S, (1, S.neg(shear), 0, 1), tgt)
-    return S, g, h, src, tgt
+    return (S, *_raw_postcompose(S, tgt, g, h), src, tgt)

@@ -24,7 +24,7 @@ from itertools import product
 from .cover import NormalizedCover
 from .errors import BudgetExceeded, InputError
 from .field import FieldElement, FieldSpec
-from .poly import (FieldMatrix, Poly, polymat_kernel, raw_add, raw_deriv,
+from .poly import (FieldMatrix, Poly, polymat_kernel, raw_T, raw_add, raw_deriv,
                    raw_embed, raw_kernel, raw_mul, raw_quo_exact, raw_rref,
                    raw_scale, raw_shift, raw_sub, raw_trim)
 
@@ -109,8 +109,7 @@ def tangent_system(nc: NormalizedCover, variant: str = "xd",
         degenerate = tuple(pt for pt, l in zip(points, lengths) if l % S.p == 0)
     cols = _tangent_columns_raw(S, g, h, range(d - 1))
     if variant == "xli":
-        disc = raw_sub(S, raw_mul(S, h, raw_deriv(S, g)),
-                       raw_mul(S, g, raw_deriv(S, h)))
+        disc = raw_T(S, g, h)
         for pt, l in zip(points, lengths):
             lp = l % S.p
             if lp == 0:
@@ -140,7 +139,7 @@ def tangent_dim(nc: NormalizedCover, variant: str = "xd", max_ext: int = 4):
     vecs = raw_kernel(S, ts.matrix.data, ts.matrix.ncols)
     g = raw_embed(nc.cover.spec, S, list(nc.cover.g.c))
     h = raw_embed(nc.cover.spec, S, list(nc.cover.h.c))
-    disc = raw_sub(S, raw_mul(S, h, raw_deriv(S, g)), raw_mul(S, g, raw_deriv(S, h)))
+    disc = raw_T(S, g, h)
     basis = []
     for v in vecs:
         g1 = raw_trim(list(v[:d - 1]))
@@ -262,12 +261,7 @@ def lift_deformation(nc: NormalizedCover, v: DeformationVector, order: int) -> L
     for r in range(2, order):
         known = []
         for i in range(1, r):
-            j = r - i
-            if j >= len(gs):
-                continue
-            term = raw_sub(S, raw_mul(S, hs[i], raw_deriv(S, gs[j])),
-                           raw_mul(S, gs[i], raw_deriv(S, hs[j])))
-            known = raw_add(S, known, term)
+            known = raw_add(S, known, raw_T(S, gs[r - i], hs[i]))
         rhs = [S.neg(c) for c in known] + [0] * (nrows - len(known))
         solution = _solve_particular(S, rows, rhs, 2 * d - 2)
         if solution is None:
@@ -308,11 +302,7 @@ def deformed_discriminant(nc: NormalizedCover, corrections, order: int):
     for r in range(order):
         acc = []
         for i in range(r + 1):
-            j = r - i
-            if i < len(hs) and j < len(gs):
-                acc = raw_add(S, acc, raw_sub(
-                    S, raw_mul(S, hs[i], raw_deriv(S, gs[j])),
-                    raw_mul(S, gs[i], raw_deriv(S, hs[j]))))
+            acc = raw_add(S, acc, raw_T(S, gs[r - i], hs[i]))
         out.append(Poly._raw(S, acc))
     return out
 

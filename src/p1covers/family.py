@@ -7,11 +7,9 @@ collapses back to h g' - g h'. A family is stored structurally as
 (g, h, bump) with specialize(t) = (g + t*bump)/h, which is all the
 verification harness and the chart-direction extraction need.
 
-chart_direction differentiates the family at t = 0 in chart coordinates
-by replaying the normalization pipeline over the dual numbers k[t]/(t^2):
-every scalar in the pipeline (the value moved to infinity, the leading
-coefficients, the shear) becomes a pair (a0, a1) = a0 + a1 t, and the
-t-component of the resulting chart pair is the tangent vector.
+chart_direction differentiates the family at t = 0 in chart coordinates.
+The chart pair is the plane's echelon basis at pivots x^d, x^(d-1), so
+its first-order term comes from one inverse of that 2 x 2 pivot block.
 """
 
 from __future__ import annotations
@@ -19,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cover import Cover, INF
+from .cover import INF, Cover, _pivot_inverse, _raw_postcompose
 from .deform import DeformationVector
 from .errors import InputError, SplitBoundExceeded
 from .field import FieldElement, FieldSpec, make_field
-from .poly import (Poly, raw_add, raw_deriv, raw_embed, raw_mobius_substitute,
-                   raw_mul, raw_scale, raw_sqf_list, raw_sub, raw_trim,
+from .poly import (Poly, raw_T, raw_add, raw_embed, raw_mobius_substitute,
+                   raw_scale, raw_sqf_list, raw_sub, raw_trim,
                    roots_with_multiplicity)
 
 
@@ -211,96 +209,36 @@ def verify_family(fam: Family, ts, max_ext: int = 4) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# chart direction via dual numbers
-
-
-def _dual_scale(S, P, s):
-    """(P0 + P1 t) * (s0 + s1 t) mod t^2 for a dual scalar s."""
-    p0, p1 = P
-    s0, s1 = s
-    out0 = raw_scale(S, p0, s0)
-    out1 = raw_add(S, raw_scale(S, p0, s1), raw_scale(S, p1, s0))
-    return (out0, out1)
-
-
-def _dual_sub(S, A, B):
-    return (raw_sub(S, A[0], B[0]), raw_sub(S, A[1], B[1]))
-
-
-def _dual_coeff(P, k):
-    p0, p1 = P
-    return (p0[k] if k < len(p0) else 0, p1[k] if k < len(p1) else 0)
-
-
-def _dual_inv(S, s):
-    """(s0 + s1 t)^(-1) = s0^(-1) - s0^(-2) s1 t; needs s0 != 0."""
-    s0, s1 = s
-    i0 = S.inv(s0)
-    return (i0, S.neg(S.mul(S.mul(i0, i0), s1)))
-
-
 def chart_direction(fam: Family, max_ext: int = 4):
     """(normalized cover at t = 0, first-order direction in the chart).
 
     The direction is d/dt of the chart coordinates of the family at
     t = 0, a solution of the xd tangent system by constancy of the
     discriminant.
+
+    After the source change the family is the pair M(t) = (g + t w, h),
+    and its chart pair is B(t)^(-1) M(t), with B(t) the coefficient block
+    at degrees d, d-1. With A = B(0)^(-1) and (gN, hN) the chart pair at
+    t = 0, the t-part is A (w - w_d gN - w_(d-1) hN, 0).
     """
-    base = fam.at_zero()
-    nc = base.normalize(max_ext)
+    nc = fam.at_zero().normalize(max_ext)
     S = nc.cover.spec
     d = fam.d
-    g0 = raw_embed(fam.spec, S, list(fam.g.c))
-    h0 = raw_embed(fam.spec, S, list(fam.h.c))
-    w0 = raw_embed(fam.spec, S, list(fam.bump.c))
+    g, h, w = (raw_embed(fam.spec, S, list(P.c)) for P in (fam.g, fam.h, fam.bump))
     # the bump must not disturb the discriminant even to first order
-    t_disc = raw_sub(S, raw_mul(S, h0, raw_deriv(S, w0)),
-                     raw_mul(S, w0, raw_deriv(S, h0)))
-    if t_disc:
+    if raw_T(S, w, h):
         raise InputError("family discriminant is not constant to first order")
-    G = (g0, w0)
-    H = (h0, [])
-    src = nc.source_change
-    if not src.is_identity():
-        a, b, c, dd = src.codes()
-        G = (raw_mobius_substitute(S, G[0], d, a, b, c, dd),
-             raw_mobius_substitute(S, G[1], d, a, b, c, dd))
-        H = (raw_mobius_substitute(S, H[0], d, a, b, c, dd),
-             raw_mobius_substitute(S, H[1], d, a, b, c, dd))
-    # fix infinity; the value there can move with t (the bump may carry
-    # full degree d), so the branch must look at dual coefficients
-    Gd = _dual_coeff(G, d)
-    Hd = _dual_coeff(H, d)
-    if Hd == (0, 0):
-        if Gd[0] == 0:
-            raise ArithmeticError("family lost its degree at infinity")
-    elif Gd == (0, 0):
-        G, H = H, G
-    else:
-        if Hd[0] == 0:
-            raise ArithmeticError("denominator with nilpotent leading coefficient")
-        v = _dual_scale_scalar(S, Gd, _dual_inv(S, Hd))
-        G, H = H, _dual_sub(S, G, _dual_scale(S, H, v))
-    if len(G[0]) - 1 != d or len(H[0]) - 1 != d - 1:
-        raise ArithmeticError("dual chart normalization produced wrong degrees")
-    lam_g = _dual_inv(S, _dual_coeff(G, d))
-    lam_h = _dual_inv(S, _dual_coeff(H, d - 1))
-    G = _dual_scale(S, G, lam_g)
-    H = _dual_scale(S, H, lam_h)
-    shear = _dual_coeff(G, d - 1)
-    if shear != (0, 0):
-        G = _dual_sub(S, G, _dual_scale(S, H, shear))
-    if raw_trim(list(G[0])) != list(nc.cover.g.c) or raw_trim(list(H[0])) != list(nc.cover.h.c):
-        raise ArithmeticError("dual normalization disagrees with the chart form")
-    g1 = Poly._raw(S, raw_trim(list(G[1])))
-    h1 = Poly._raw(S, raw_trim(list(H[1])))
+    if not nc.source_change.is_identity():
+        src = nc.source_change.codes()
+        g, h, w = (raw_mobius_substitute(S, P, d, *src) for P in (g, h, w))
+    A = _pivot_inverse(S, g, h, d, d - 1)
+    gN, hN = list(nc.cover.g.c), list(nc.cover.h.c)
+    if A is None or _raw_postcompose(S, A, g, h) != (gN, hN):
+        raise ArithmeticError("chart pair of the family disagrees with the chart form")
+    wd, wd1 = (w[k] if k < len(w) else 0 for k in (d, d - 1))
+    r = raw_sub(S, w, raw_add(S, raw_scale(S, gN, wd), raw_scale(S, hN, wd1)))
+    g1 = Poly._raw(S, raw_scale(S, r, A[0]))
+    h1 = Poly._raw(S, raw_scale(S, r, A[2]))
     if g1.degree() > d - 2 or h1.degree() > d - 2:
         raise ArithmeticError("chart direction escapes the degree bound d-2")
     return nc, DeformationVector(g1, h1, None)
-
-
-def _dual_scale_scalar(S, a, b):
-    a0, a1 = a
-    b0, b1 = b
-    return (S.mul(a0, b0), S.add(S.mul(a0, b1), S.mul(a1, b0)))

@@ -178,6 +178,12 @@ def raw_deriv(S, a):
     return raw_trim(out)
 
 
+def raw_T(S, f, q):
+    """The twisted derivative T_f(q) = q f' - f q'; T_g(h) is the
+    discriminant of the cover g/h before it is made monic."""
+    return raw_sub(S, raw_mul(S, q, raw_deriv(S, f)), raw_mul(S, f, raw_deriv(S, q)))
+
+
 def raw_eval(S, a, x):
     acc = 0
     mt = S._mul_t

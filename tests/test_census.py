@@ -6,8 +6,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from p1covers import (BudgetExceeded, Cover, Mobius, Poly, census_by_disc,
-                      enumerate_covers, make_field, raw_plane_count,
+from p1covers import (BudgetExceeded, Cover, InputError, Mobius, Poly,
+                      census_by_disc, enumerate_covers, make_field, raw_plane_count,
                       verify_theorem_char23)
 from p1covers.census import (_admissible, _class_total, _materialize_divisor,
                              _merge_tables, _prefix_tasks, _scaling, _scan_chunk,
@@ -142,6 +142,12 @@ def test_census_parallel_matches_sequential():
 def test_census_budget():
     with pytest.raises(BudgetExceeded):
         census_by_disc(F9, 4, budget=1000)
+
+
+@pytest.mark.parametrize("processes", [0, -3])
+def test_census_rejects_processes_below_one(processes):
+    with pytest.raises(InputError):
+        census_by_disc(F3, 2, processes=processes)
 
 
 def test_class_count_transport_between_records():

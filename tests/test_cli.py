@@ -201,6 +201,17 @@ def test_exit_codes(capsys):
     assert code == 1 and "split" in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_census_rejects_threads_below_one(capsys, threads):
+    code, out, err = run(capsys, "census", "--p", "2", "--d", "2", "--threads", threads)
+    assert code == 2 and "process" in err and out == ""
+
+
+def test_family_rejects_negative_verify(capsys):
+    code, out, err = run(capsys, "family", "power", "--p", "3", "--verify", "-2")
+    assert code == 2 and "--verify" in err and out == ""
+
+
 def test_argparse_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["disc", "x", "--p"])

@@ -241,6 +241,30 @@ def test_normalize_needs_extension():
     assert redone == nc.cover
 
 
+@pytest.mark.parametrize("text, source, target", [
+    ("x / x^2+1", (1, 0, 0, 1), (0, 1, 1, 0)),            # swap
+    ("x^2 / x^2+x+2", (1, 0, 0, 1), (1, 0, 2, 1)),        # both of degree d
+    ("x^3+2*x^2 / x^2+1", (1, 0, 0, 1), (1, 1, 0, 1)),    # shear
+    ("x^4", (1, 1, 1, 0), (0, 1, 1, 2)),                  # source change
+])
+def test_normalize_target_change(text, source, target):
+    nc = Cover.parse(text, F3).normalize()
+    assert nc.source_change.codes() == source
+    assert nc.target_change.codes() == target
+
+
+def test_normalize_tries_every_extension_degree():
+    # every point of F_2 and F_4 is ramified; F_8 has unramified points
+    cov = Cover.parse("x^6 + 1 / x^4 + x^3 + 1", F2)
+    for max_ext in (3, 4):
+        nc = cov.normalize(max_ext)
+        assert nc.spec.order == 8
+        assert nc.original.precompose(nc.source_change).postcompose(nc.target_change) \
+            == nc.cover
+    with pytest.raises(SplitBoundExceeded):
+        cov.normalize(2)
+
+
 def test_riemann_hurwitz_mass():
     rng = random.Random(10)
     for spec in (F2, F3):

@@ -7,6 +7,7 @@ from p1covers import (Cover, InputError, Poly, chart_direction, elements,
                       power_family, tangent_dim, verify_family, wild_family,
                       Family)
 
+F2 = make_field(2)
 F3 = make_field(3)
 F9 = make_field(3, 2)
 F5 = make_field(5)
@@ -136,6 +137,19 @@ def test_chart_direction_is_nonzero_tangent_solution():
             assert res == []
             checked += 1
     assert checked > 50
+
+
+def test_chart_direction_through_source_change_and_extension():
+    # the chart point comes from F_4, and the bump has full degree d
+    fam = wild_family(Cover.parse("x^4 + x^2 / x^2 + x + 1", F2))
+    nc, vec = chart_direction(fam)
+    S = nc.spec
+    assert S.order == 4
+    assert str(nc.source_change) == "y -> ([u]*y + 1) / (y)"
+    assert str(vec.g1) == "x + 1" and str(vec.h1) == "0"
+    from p1covers.deform import _first_order_residual
+    assert _first_order_residual(S, list(nc.cover.g.c), list(nc.cover.h.c),
+                                 list(vec.g1.c), list(vec.h1.c)) == []
 
 
 def test_specialize_field_checks():
