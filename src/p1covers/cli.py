@@ -28,14 +28,14 @@ from .poly import Poly
 def _add_common(sp):
     sp.add_argument("--p", type=int, required=True, help="prime characteristic")
     sp.add_argument("--ext", type=int, default=1, help="extension degree m (field F_{p^m})")
+    sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    sp.add_argument("--out", default=None, help="write output to a file")
+
+
+def _add_max_ext(sp):
     sp.add_argument("--max-ext", type=int, default=4, dest="max_ext",
                     help="largest extension degree for splitting/normalizing "
                          "(in a census: divisor points only)")
-    sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    sp.add_argument("--out", default=None, help="write output to a file")
-    sp.add_argument("--seed", type=int, default=0, help="seed for sampled verification")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker processes for census enumeration")
 
 
 def build_parser():
@@ -47,10 +47,12 @@ def build_parser():
     sp = sub.add_parser("disc", help="discriminant and differential lengths of a cover")
     sp.add_argument("cover", help='cover as "g / h" (denominator 1 may be omitted)')
     _add_common(sp)
+    _add_max_ext(sp)
 
     sp = sub.add_parser("lengths", help="differential-length divisor of a cover")
     sp.add_argument("cover")
     _add_common(sp)
+    _add_max_ext(sp)
 
     sp = sub.add_parser("equiv", help="test two covers for equivalence")
     sp.add_argument("cover1")
@@ -60,6 +62,7 @@ def build_parser():
     sp = sub.add_parser("normalize", help="chart normalization of a cover")
     sp.add_argument("cover")
     _add_common(sp)
+    _add_max_ext(sp)
 
     sp = sub.add_parser("cartier", help="matrix, kernel and image of T_f")
     sp.add_argument("f", help="non-zero polynomial f")
@@ -73,6 +76,7 @@ def build_parser():
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check the dimension by exhaustive enumeration")
     _add_common(sp)
+    _add_max_ext(sp)
 
     sp = sub.add_parser("family", help="families with constant discriminant")
     sp.add_argument("kind", choices=["wild", "power", "osserman"])
@@ -80,7 +84,9 @@ def build_parser():
                     help='base cover (required for kind "wild")')
     sp.add_argument("--verify", type=int, default=0, metavar="N",
                     help="verify on N sampled parameter values")
+    sp.add_argument("--seed", type=int, default=0, help="seed for sampled verification")
     _add_common(sp)
+    _add_max_ext(sp)
 
     sp = sub.add_parser("census", help="census of all classes over F_q by discriminant")
     sp.add_argument("--d", type=int, required=True, help="cover degree")
@@ -92,7 +98,10 @@ def build_parser():
     sp.add_argument("--no-points", dest="points", action="store_false")
     sp.add_argument("--orbits", action="store_true",
                     help="also count Frobenius orbits of classes (closed form)")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker processes for census enumeration")
     _add_common(sp)
+    _add_max_ext(sp)
     return ap
 
 

@@ -532,10 +532,12 @@ def _raw_normalize(S, g, h, d, disc_raw, max_ext):
     the plane's echelon basis with pivots x^d, x^(d-1), so target is the
     inverse of the pair's coefficient block at those two degrees.
     """
+    if max_ext < 1:
+        raise InputError("max_ext must be at least 1")
     src = None
     if len(disc_raw) - 1 < 2 * d - 2:  # ramified at infinity
         base = S
-        for r in range(1, max(max_ext, 1) + 1):
+        for r in range(1, max_ext + 1):
             S = base if r == 1 else make_field(base.p, base.m * r)
             disc = raw_embed(base, S, disc_raw)
             Q = next((x for x in range(S.order) if raw_eval(S, disc, x)), None)

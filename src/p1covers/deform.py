@@ -124,11 +124,7 @@ def tangent_system(nc: NormalizedCover, variant: str = "xd",
 
 def _first_order_residual(S, g, h, g1, h1):
     """t-coefficient of the deformed discriminant, computed from scratch."""
-    return raw_sub(S,
-                   raw_add(S, raw_mul(S, h, raw_deriv(S, g1)),
-                           raw_mul(S, h1, raw_deriv(S, g))),
-                   raw_add(S, raw_mul(S, g, raw_deriv(S, h1)),
-                           raw_mul(S, g1, raw_deriv(S, h))))
+    return raw_add(S, raw_T(S, g, h1), raw_T(S, g1, h))
 
 
 def tangent_dim(nc: NormalizedCover, variant: str = "xd", max_ext: int = 4):

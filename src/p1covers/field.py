@@ -15,10 +15,14 @@ lowest nonzero digit), and each subtraction row is an addition row read
 through negation. The build costs at most q-1 field products per
 primitive-element candidate and O(q) Python steps; the q^2 entries of
 each table are filled by C-level gathers and share one int object per
-code. Larger extensions fall back to packed-integer arithmetic (up to
+code. A larger field gets read-only stand-ins in the same five slots
+(`_Computed`, `_ComputedPair`): indexing one at `a*q + b` (at `a` for
+neg and inv) computes the entry. So `FieldSpec`'s ops and `poly`'s raw
+layer index one way and never ask which kind a field has; only this
+module decides. Computed products use packed-integer arithmetic (up to
 2^20 elements, with digit and packing caches built from
-`itertools.product`) or to digit-vector arithmetic, both with
-precomputed modular reduction rows.
+`itertools.product`) or digit-vector arithmetic, both with precomputed
+modular reduction rows.
 
 This module only knows field elements: every polynomial step it needs
 runs on `poly`'s raw layer. Field construction is deterministic:
@@ -103,6 +107,34 @@ def _least_irreducible(p, m):
 # ---------------------------------------------------------------------------
 
 
+class _Computed:
+    """Read-only stand-in for the neg or inv table of a field too large to
+    tabulate: t[a] computes op(a)."""
+
+    __slots__ = ("op",)
+
+    def __init__(self, op):
+        self.op = op
+
+    def __getitem__(self, a):
+        return self.op(a)
+
+
+class _ComputedPair:
+    """Read-only stand-in for the add, sub or mul table of a field too
+    large to tabulate: t[a*q + b] computes op(a, b)."""
+
+    __slots__ = ("op", "q")
+
+    def __init__(self, op, q):
+        self.op = op
+        self.q = q
+
+    def __getitem__(self, i):
+        a, b = divmod(i, self.q)
+        return self.op(a, b)
+
+
 class FieldSpec:
     """A concrete finite field F_{p^m}; construct via make_field."""
 
@@ -115,11 +147,6 @@ class FieldSpec:
         self.m = m
         self.modulus = modulus  # tuple of m+1 ints over F_p, monic; None iff m == 1
         self.order = p ** m
-        self._mul_t = None
-        self._add_t = None
-        self._sub_t = None
-        self._neg_t = None
-        self._inv_t = None
         self._red_rows = None
         self._embed_images = {}
         self._dec = None
@@ -146,6 +173,13 @@ class FieldSpec:
             self._red_rows = rows
         if self.order <= TABLE_LIMIT:
             self._build_tables()
+        else:
+            q = self.order
+            self._add_t = _ComputedPair(self._add_slow, q)
+            self._sub_t = _ComputedPair(self._sub_slow, q)
+            self._mul_t = _ComputedPair(self._mul_slow, q)
+            self._neg_t = _Computed(self._neg_slow)
+            self._inv_t = _Computed(self._inv_slow)
 
     # -- encoding ----------------------------------------------------------
 
@@ -248,7 +282,7 @@ class FieldSpec:
         p, m = self.p, self.m
         if m == 1:
             return (a * b) % p
-        if self._pack is None and self._mul_t is None and self.order <= 1 << 20:
+        if self._dec is None and self.order <= 1 << 20:
             self._build_decode_cache()
         pack = self._pack
         if pack is not None:
@@ -300,46 +334,40 @@ class FieldSpec:
             raise ZeroDivisionError("element not invertible")
         return self.encode(raw_scale(P, s0, P.inv(r0[0])))
 
-    def add(self, a: int, b: int) -> int:
-        t = self._add_t
-        if t is not None:
-            return t[a * self.order + b]
+    def _add_slow(self, a: int, b: int) -> int:
         p = self.p
         if self.m == 1:
             return (a + b) % p
         return self.encode([(x + y) % p for x, y in zip(self.decode(a), self.decode(b))])
 
-    def sub(self, a: int, b: int) -> int:
-        t = self._sub_t
-        if t is not None:
-            return t[a * self.order + b]
+    def _sub_slow(self, a: int, b: int) -> int:
         p = self.p
         if self.m == 1:
             return (a - b) % p
         return self.encode([(x - y) % p for x, y in zip(self.decode(a), self.decode(b))])
 
-    def neg(self, a: int) -> int:
-        t = self._neg_t
-        if t is not None:
-            return t[a]
+    def _neg_slow(self, a: int) -> int:
         p = self.p
         if self.m == 1:
             return (-a) % p
         return self.encode([(-x) % p for x in self.decode(a)])
 
+    def add(self, a: int, b: int) -> int:
+        return self._add_t[a * self.order + b]
+
+    def sub(self, a: int, b: int) -> int:
+        return self._sub_t[a * self.order + b]
+
+    def neg(self, a: int) -> int:
+        return self._neg_t[a]
+
     def mul(self, a: int, b: int) -> int:
-        t = self._mul_t
-        if t is not None:
-            return t[a * self.order + b]
-        return self._mul_slow(a, b)
+        return self._mul_t[a * self.order + b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("division by zero field element")
-        t = self._inv_t
-        if t is not None:
-            return t[a]
-        return self._inv_slow(a)
+        return self._inv_t[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

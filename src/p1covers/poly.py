@@ -3,10 +3,12 @@ field extensions and the exact linear algebra used downstream.
 
 Two layers. The `raw_*` functions operate on plain lists of element codes
 (little-endian, trailing zeros trimmed, [] is the zero polynomial) and
-carry fast paths for table-backed fields; the census enumeration lives on
-this layer. It is the library's only polynomial code: `field` runs its
-modulus search, untabled inversion and embeddings on it over F_p or the
-target field. The `Poly` / `FieldMatrix` / `PolyMatrix` classes wrap the
+index the field's add/sub/mul/neg tables directly, one loop per
+operation: `field` gives a field above its table limit stand-ins that
+compute each entry, so the same loops serve every field. The census
+enumeration lives on this layer. It is the library's only polynomial
+code: `field` runs its modulus search, untabled inversion and embeddings
+on it over F_p or the target field. The `Poly` / `FieldMatrix` / `PolyMatrix` classes wrap the
 same routines behind an immutable interface.
 
 Factorization strategy is deliberately elementary: squarefree
@@ -34,38 +36,26 @@ def raw_trim(a):
 
 
 def raw_add(S, a, b):
-    t = S._add_t
+    t, q = S._add_t, S.order
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
-    if t is not None:
-        q = S.order
-        for i, c in enumerate(b):
-            out[i] = t[out[i] * q + c]
-    else:
-        for i, c in enumerate(b):
-            out[i] = S.add(out[i], c)
+    for i, c in enumerate(b):
+        out[i] = t[out[i] * q + c]
     return raw_trim(out)
 
 
 def raw_sub(S, a, b):
-    t = S._sub_t
+    t, q = S._sub_t, S.order
     out = list(a) + [0] * (len(b) - len(a))
-    if t is not None:
-        q = S.order
-        for i, c in enumerate(b):
-            out[i] = t[out[i] * q + c]
-    else:
-        for i, c in enumerate(b):
-            out[i] = S.sub(out[i], c)
+    for i, c in enumerate(b):
+        out[i] = t[out[i] * q + c]
     return raw_trim(out)
 
 
 def raw_neg(S, a):
     t = S._neg_t
-    if t is not None:
-        return [t[c] for c in a]
-    return [S.neg(c) for c in a]
+    return [t[c] for c in a]
 
 
 def raw_scale(S, a, s):
@@ -73,34 +63,22 @@ def raw_scale(S, a, s):
         return []
     if s == 1:
         return list(a)
-    mt = S._mul_t
-    if mt is not None:
-        base = s * S.order
-        return [mt[base + c] for c in a]
-    return [S.mul(s, c) for c in a]
+    mt, base = S._mul_t, s * S.order
+    return [mt[base + c] for c in a]
 
 
 def raw_mul(S, a, b):
     if not a or not b:
         return []
-    mt = S._mul_t
+    mt, at, q = S._mul_t, S._add_t, S.order
     out = [0] * (len(a) + len(b) - 1)
-    if mt is not None:
-        at = S._add_t
-        q = S.order
-        for i, ai in enumerate(a):
-            if ai:
-                row = ai * q
-                for j, bj in enumerate(b):
-                    if bj:
-                        k = i + j
-                        out[k] = at[out[k] * q + mt[row + bj]]
-    else:
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = S.add(out[i + j], S.mul(ai, bj))
+    for i, ai in enumerate(a):
+        if ai:
+            row = ai * q
+            for j, bj in enumerate(b):
+                if bj:
+                    k = i + j
+                    out[k] = at[out[k] * q + mt[row + bj]]
     return raw_trim(out)
 
 
@@ -113,33 +91,19 @@ def raw_divrem(S, a, b):
         return [], r
     inv_lb = 1 if b[-1] == 1 else S.inv(b[-1])
     quo = [0] * (len(r) - db)
-    mt, st = S._mul_t, S._sub_t
-    if mt is not None:
-        q = S.order
-        while r and len(r) - 1 >= db:
-            k = len(r) - 1 - db
-            f = mt[r[-1] * q + inv_lb]
-            quo[k] = f
-            if f:
-                row = f * q
-                for j in range(db):
-                    bj = b[j]
-                    if bj:
-                        r[k + j] = st[r[k + j] * q + mt[row + bj]]
-            r.pop()
-            raw_trim(r)
-    else:
-        while r and len(r) - 1 >= db:
-            k = len(r) - 1 - db
-            f = S.mul(r[-1], inv_lb)
-            quo[k] = f
-            if f:
-                for j in range(db):
-                    bj = b[j]
-                    if bj:
-                        r[k + j] = S.sub(r[k + j], S.mul(f, bj))
-            r.pop()
-            raw_trim(r)
+    mt, st, q = S._mul_t, S._sub_t, S.order
+    while r and len(r) - 1 >= db:
+        k = len(r) - 1 - db
+        f = mt[r[-1] * q + inv_lb]
+        quo[k] = f
+        if f:
+            row = f * q
+            for j in range(db):
+                bj = b[j]
+                if bj:
+                    r[k + j] = st[r[k + j] * q + mt[row + bj]]
+        r.pop()
+        raw_trim(r)
     return raw_trim(quo), r
 
 
@@ -185,16 +149,10 @@ def raw_T(S, f, q):
 
 
 def raw_eval(S, a, x):
+    mt, at, q = S._mul_t, S._add_t, S.order
     acc = 0
-    mt = S._mul_t
-    if mt is not None:
-        at = S._add_t
-        q = S.order
-        for c in reversed(a):
-            acc = at[mt[acc * q + x] * q + c]
-    else:
-        for c in reversed(a):
-            acc = S.add(S.mul(acc, x), c)
+    for c in reversed(a):
+        acc = at[mt[acc * q + x] * q + c]
     return acc
 
 
@@ -456,55 +414,17 @@ def roots_with_multiplicity(a: "Poly", max_ext: int = 4):
 # -- linear algebra over F_q -------------------------------------------------
 
 
-def raw_rank(S, rows, ncols):
+def _echelon(S, rows, ncols, reduced=False):
+    """Gaussian elimination on rows of ncols entries; returns (nonzero
+    rows, pivot column list). reduced=True scales each pivot to 1 and
+    clears its column above the pivot too: the reduced row echelon form."""
     rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    mt, st = S._mul_t, S._sub_t
-    q = S.order
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = S.inv(prow[col])
-        if mt is not None:
-            for i in range(rank + 1, len(rows)):
-                ri = rows[i]
-                e = ri[col]
-                if e:
-                    f = mt[e * q + inv]
-                    row = f * q
-                    for j in range(col, ncols):
-                        pj = prow[j]
-                        if pj:
-                            ri[j] = st[ri[j] * q + mt[row + pj]]
-        else:
-            for i in range(rank + 1, len(rows)):
-                ri = rows[i]
-                e = ri[col]
-                if e:
-                    f = S.mul(e, inv)
-                    for j in range(col, ncols):
-                        pj = prow[j]
-                        if pj:
-                            ri[j] = S.sub(ri[j], S.mul(f, pj))
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def raw_rref(S, rows, ncols):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(r) for r in rows if any(r)]
+    mt, st, q = S._mul_t, S._sub_t, S.order
     pivots = []
     r = 0
     for col in range(ncols):
+        if r == len(rows):
+            break
         piv = None
         for i in range(r, len(rows)):
             if rows[i][col]:
@@ -513,17 +433,32 @@ def raw_rref(S, rows, ncols):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = S.inv(rows[r][col])
-        if inv != 1:
-            rows[r] = [S.mul(inv, c) for c in rows[r]]
         prow = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [S.sub(c, S.mul(f, pc)) for c, pc in zip(rows[i], prow)]
+        inv = S.inv(prow[col])
+        if reduced:
+            prow = rows[r] = raw_scale(S, prow, inv)
+            inv = 1
+        for i in range(0 if reduced else r + 1, len(rows)):
+            ri = rows[i]
+            e = ri[col]
+            if e and i != r:
+                row = mt[e * q + inv] * q
+                for j in range(col, ncols):
+                    pj = prow[j]
+                    if pj:
+                        ri[j] = st[ri[j] * q + mt[row + pj]]
         pivots.append(col)
         r += 1
-    return [row for row in rows if any(row)], pivots
+    return rows[:r], pivots
+
+
+def raw_rank(S, rows, ncols):
+    return len(_echelon(S, rows, ncols)[1])
+
+
+def raw_rref(S, rows, ncols):
+    """Reduced row echelon form; returns (rows, pivot column list)."""
+    return _echelon(S, rows, ncols, reduced=True)
 
 
 def raw_kernel(S, rows, ncols):

@@ -207,6 +207,25 @@ def test_census_rejects_threads_below_one(capsys, threads):
     assert code == 2 and "process" in err and out == ""
 
 
+@pytest.mark.parametrize("command", ["normalize", "tangent"])
+def test_max_ext_below_one_rejected(capsys, command):
+    code, out, err = run(capsys, command, "x^4", "--p", "3", "--max-ext", "0")
+    assert code == 2 and "max_ext must be at least 1" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["disc", "x^4", "--p", "3", "--threads", "2"],
+    ["disc", "x^4", "--p", "3", "--seed", "1"],
+    ["equiv", "x^4", "x^4", "--p", "3", "--max-ext", "2"],
+    ["cartier", "x^4", "--p", "3", "--max-ext", "2"],
+])
+def test_flags_only_where_read(argv):
+    # each subcommand registers only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_family_rejects_negative_verify(capsys):
     code, out, err = run(capsys, "family", "power", "--p", "3", "--verify", "-2")
     assert code == 2 and "--verify" in err and out == ""

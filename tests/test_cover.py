@@ -265,6 +265,13 @@ def test_normalize_tries_every_extension_degree():
         cov.normalize(2)
 
 
+def test_normalize_rejects_max_ext_below_one():
+    # x^4 is ramified at infinity, x^2 + 1 / x is not: both are refused
+    for text in ("x^4", "x^2 + 1 / x"):
+        with pytest.raises(InputError, match="max_ext must be at least 1"):
+            Cover.parse(text, F3).normalize(0)
+
+
 def test_riemann_hurwitz_mass():
     rng = random.Random(10)
     for spec in (F2, F3):

@@ -314,5 +314,5 @@ def test_field_axioms_untabled(p, m, path):
         assert frobenius(a * b) == frobenius(a) * frobenius(b)
 
     axioms()
-    assert spec._mul_t is None
+    assert not isinstance(spec._mul_t, list)
     assert (spec._pack is not None) == (path == "packed")

@@ -254,7 +254,7 @@ def test_split_root_returns_a_root(p, m):
     # of the table limit
     from p1covers.poly import _split_root, raw_mul, raw_scale
     S = make_field(p, m)
-    assert (S._mul_t is not None) == (S.order <= 729)
+    assert isinstance(S._mul_t, list) == (S.order <= 729)
     rng = random.Random(p ** m)
     for _ in range(12):
         roots = rng.sample(range(S.order), rng.randint(2, 5))
@@ -263,6 +263,46 @@ def test_split_root_returns_a_root(p, m):
             f = raw_mul(S, f, [S.neg(r), 1])
         f = raw_scale(S, f, rng.randrange(1, S.order))
         assert _split_root(S, f) in roots
+
+
+@pytest.mark.parametrize("p,m", [(3, 6), (2, 9)])
+def test_raw_layer_agrees_without_tables(p, m, monkeypatch):
+    # the same raw loops on a tabled field and on a copy of it built above
+    # the table limit, whose stand-ins compute every entry
+    from p1covers import field
+    from p1covers.poly import (raw_divrem, raw_eval, raw_gcd, raw_kernel, raw_mul,
+                               raw_rank, raw_rref, raw_sqf_list)
+    T = make_field(p, m)
+    make_field(p)  # interned with its tables before the limit drops
+    monkeypatch.setattr(field, "TABLE_LIMIT", 0)
+    S = field.FieldSpec(p, m, T.modulus)
+    assert isinstance(T._mul_t, list) and not isinstance(S._mul_t, list)
+    rng = random.Random(p ** m)
+
+    def poly(deg):
+        return [rng.randrange(T.order) for _ in range(deg)] + [rng.randrange(1, T.order)]
+
+    for _ in range(12):
+        a, b, c = poly(rng.randrange(7)), poly(rng.randrange(5)), poly(rng.randrange(1, 4))
+        ac, bc = raw_mul(T, a, c), raw_mul(T, b, c)
+        assert raw_mul(S, a, b) == raw_mul(T, a, b)
+        assert raw_divrem(S, ac, b) == raw_divrem(T, ac, b)
+        assert raw_gcd(S, ac, bc) == raw_gcd(T, ac, bc)
+        x = rng.randrange(T.order)
+        assert raw_eval(S, ac, x) == raw_eval(T, ac, x)
+        f = raw_mul(T, ac, raw_mul(T, b, b))
+        for _ in range(p - 1):
+            f = raw_mul(T, f, c)  # a * b^2 * c^p: every branch of the recursion
+        assert raw_sqf_list(S, f) == raw_sqf_list(T, f)
+    for _ in range(12):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 7)
+        rows = [[rng.randrange(T.order) for _ in range(ncols)] for _ in range(nrows)]
+        k = rng.randrange(1, T.order)
+        rows.append([T.add(x, T.mul(k, y)) for x, y in zip(rows[0], rows[-1])])
+        rows.append([0] * ncols)
+        assert raw_rank(S, rows, ncols) == raw_rank(T, rows, ncols)
+        assert raw_rref(S, rows, ncols) == raw_rref(T, rows, ncols)
+        assert raw_kernel(S, rows, ncols) == raw_kernel(T, rows, ncols)
 
 
 def test_roots_mixed_degrees_partial_split():
