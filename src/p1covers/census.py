@@ -13,9 +13,21 @@ keeps coprimality, separability, the length structure and the tangent
 dimension; it sends the monic discriminant D to monic(D(ax)). So the
 scan takes one class per orbit of this scaling. An orbit has s classes,
 s a divisor of q - 1, with s = q - 1 for most classes (always s = 1 over
-F_2). Each scanned class gets one coprimality test, one discriminant and
-one tangent rank; the other classes of its orbit get their discriminant
-keys by substitution and share its rank.
+F_2). The other classes of a scanned class's orbit get their
+discriminant keys by substitution and share its tangent dimension.
+
+The scan works one g row at a time, and everything that depends on g
+alone is done once per row. The discriminant T_g(h) = h g' - g h' and
+the residues h mod P, for the monic irreducible factors P of g (a
+squarefree, distinct-degree and equal-degree split of g), are affine in
+the free cells of h. So each h row costs vector adds: a zero residue
+block means a shared factor, a zero discriminant an inseparable plane.
+The tangent dimension is the nullity of the (2d-1)-square xd system in
+the plane's own echelon chart. The columns A = [T_g(x^e), e < d] span
+its h1 columns together with the discriminant column, so its rank is
+rank A + rank N B(h), with N a left-kernel basis of A, once per row, and
+N B(h) affine in h. Per class only a (2d-1 - rank A) x (d-1) rank is
+left.
 
 Records group the classes by monic discriminant. Length multisets come
 from the squarefree structure, exact and extension-free; divisor points,
@@ -23,11 +35,10 @@ the only part that may need an extension field, are materialized when
 cheap or requested. Both are computed once per orbit of keys, on the
 first key the scan reached: a key reached from it by x -> ax has the
 same length structure, and its points are the first key's points times
-a^-1. Tangent dimensions are taken in each plane's own echelon chart.
-The class total is checked against its closed form, from which Burnside
-gives the Frobenius orbit count. Enumeration can be partitioned across
-processes along the g-row prefixes the scan reaches; the merge is a
-deterministic reduce keyed on the discriminant.
+a^-1. The class total is checked against its closed form, from which
+Burnside gives the Frobenius orbit count. Enumeration can be partitioned
+across processes along the g-row prefixes the scan reaches; the merge is
+a deterministic reduce keyed on the discriminant.
 """
 
 from __future__ import annotations
@@ -40,9 +51,9 @@ from dataclasses import dataclass
 from .cover import Cover, Divisor, INF
 from .errors import BudgetExceeded, InputError
 from .field import FieldElement, FieldSpec, make_field
-from .poly import (Poly, raw_deriv, raw_gcd, raw_monic, raw_mul, raw_rank,
-                   raw_sqf_list, raw_sub, raw_trim, roots_with_multiplicity)
-from .deform import _columns_to_rows, _tangent_columns_raw
+from .poly import (Poly, raw_add, raw_axpy, raw_deriv, raw_factor_sqf, raw_kernel,
+                   raw_monic, raw_rank, raw_rem, raw_scale, raw_shift, raw_sqf_list,
+                   raw_trim, roots_with_multiplicity)
 
 DEFAULT_BUDGET = 2_000_000
 POINTS_AUTO_LIMIT = 50_000
@@ -63,21 +74,24 @@ def _class_total(p: int, m: int, d: int) -> int:
 
 def _scaling(S, d):
     """(exp, log) of the cyclic group F_q^*: exp[k] = γ^k for the least
-    primitive element γ, and log[c] = k on the nonzero codes. Degree 1 has
-    no free cell, so no scaling acts and the lists stay empty."""
+    primitive element γ and 0 <= k < (2d-1)(q-1), enough for the scaled
+    coefficients of a polynomial of degree below 2d, and log[c] = k < q-1
+    on the nonzero codes. Degree 1 has no free cell, so no scaling acts
+    and the lists stay empty."""
     if d < 2:
         return [], []
     exp = S._primitive_powers()
     log = [0] * S.order
     for k, c in enumerate(exp):
         log[c] = k
-    return exp, log
+    return exp * (2 * d - 1), log
 
 
-def _substitute(exp, log, a, k):
-    """a(γ^k x) for raw a: coefficient i times γ^(k i)."""
-    n = len(exp)
-    return [exp[(log[c] + k * i) % n] if c else 0 for i, c in enumerate(a)]
+def _images(exp, log, a, s):
+    """a(γ^k x) for k = 0, 1, ..., s - 1, as tuples, for raw a of degree
+    below 2d: coefficient i times γ^(k i) runs through exp in steps of i."""
+    return zip(*[exp[log[c]:log[c] + i * s:i] if c and i and s > 1 else [c] * s
+                 for i, c in enumerate(a)])
 
 
 def _orbit_starts(log, weights, s=1):
@@ -126,30 +140,76 @@ def _admissible(S, d, c2, log, prefix=()):
     so it stays in the slice and keeps coprimality and separability. The
     orbit's classes are the images k < s, each exactly once. Free cells
     run in the fixed element order, the h row fastest.
+
+    For a fixed g row, h -> (T_g(h), h mod P for each monic irreducible
+    factor P of g) is affine in the free h cells, so _affine_rows builds
+    it once per g row and each h row costs one scaled vector add per
+    changed cell, the last cell most of the time. A zero residue block
+    means a shared factor, a zero discriminant an inseparable plane.
     """
     free_g = [j for j in range(1, d + 1) if j != c2]
     free_h = list(range(c2 + 1, d + 1))
     if len(prefix) > len(free_g):
         raise InputError("prefix longer than the free cells of the g row")
     head = tuple(prefix)
-    h_rows = {}                 # stabilizer step -> [(h, h', orbit size)]
+    n = 2 * d - 1
+    h_rows = {}         # stabilizer step -> [(h, h cells, orbit size, first changed cell)]
     for gvals, sg in _g_starts(log, d, c2):
         if gvals[:len(head)] != head:
             continue
         g = _row(d, 0, free_g, gvals)
-        gp = raw_deriv(S, g)
         hs = h_rows.get(sg)
         if hs is None:
             hs = h_rows[sg] = []
+            last = ()
             for hvals, s in _orbit_starts(log, [c2 - j for j in free_h], sg):
-                h = _row(d, c2, free_h, hvals)
-                hs.append((h, raw_deriv(S, h), s))
-        for h, hp, s in hs:
-            if len(raw_gcd(S, g, h)) > 1:
-                continue
-            disc = raw_sub(S, raw_mul(S, h, gp), raw_mul(S, g, hp))
-            if disc:
-                yield g, h, disc, s
+                changed = next((i for i, (u, v) in enumerate(zip(hvals, last)) if u != v),
+                               len(last))
+                hs.append((_row(d, c2, free_h, hvals), hvals, s, changed))
+                last = hvals
+        base, cells, blocks = _affine_rows(S, g, [d - c2] + [d - j for j in free_h], n)
+        acc = [base] * (len(cells) + 1)     # acc[i + 1]: base plus cells 0..i
+        for h, hvals, s, changed in hs:
+            for i in range(changed, len(cells)):
+                c = hvals[i]
+                acc[i + 1] = raw_axpy(S, acc[i], c, cells[i]) if c else acc[i]
+            vec = acc[-1]
+            if all(any(vec[lo:hi]) for lo, hi in blocks):
+                disc = raw_trim(vec[:n])
+                if disc:
+                    yield g, h, disc, s
+
+
+def _affine_rows(S, g, exps, n):
+    """(base, cells, blocks): the vector of x^exps[0] and of each x^e, e in
+    exps[1:], under h -> T_g(h) (n coefficients) followed by h mod P for
+    each monic irreducible factor P of g; blocks are the residue slices."""
+    factors = [P for fac, _ in raw_sqf_list(S, g) for P in raw_factor_sqf(S, fac)]
+    blocks = []
+    for P in factors:
+        lo = blocks[-1][1] if blocks else n
+        blocks.append((lo, lo + len(P) - 1))
+    cols = _t_columns(S, g, n)
+    rows = []
+    for e in exps:
+        xe = [0] * e + [1]
+        row = list(cols[e])
+        for P in factors:
+            row += _padded(raw_rem(S, xe, P), len(P) - 1)
+        rows.append(row)
+    return rows[0], rows[1:], blocks
+
+
+def _t_columns(S, g, n):
+    """T_g(x^e) = x^e g' - e x^(e-1) g for e < deg g, as n coefficients each."""
+    gp = raw_deriv(S, g)
+    p = S.p
+    return [_padded(raw_add(S, raw_shift(gp, e), raw_scale(S, raw_shift(g, e - 1), -e % p)),
+                    n) for e in range(len(g) - 1)]
+
+
+def _padded(a, n):
+    return a + [0] * (n - len(a))
 
 
 def _row(d, pivot, cells, vals):
@@ -162,37 +222,63 @@ def _row(d, pivot, cells, vals):
     return raw_trim(row)
 
 
+def _check_budget(spec, d, budget):
+    """The raw plane count of the census, which must lie within budget."""
+    if budget < 1:
+        raise InputError("a census budget must be at least 1")
+    total = raw_plane_count(spec.order, d)
+    if total > budget:
+        raise BudgetExceeded(f"census of {total} planes exceeds the budget {budget}")
+    return total
+
+
 def enumerate_covers(spec: FieldSpec, d: int, budget: int = DEFAULT_BUDGET):
     """One validated Cover per equivalence class, in a deterministic order:
     each scanned class followed by the rest of its scaling orbit."""
-    total = raw_plane_count(spec.order, d)
-    if total > budget:
-        raise BudgetExceeded(
-            f"census of {total} planes exceeds the budget {budget}")
+    _check_budget(spec, d, budget)
     exp, log = _scaling(spec, d)
     for c2 in range(1, d + 1):
         for g, h, _, s in _admissible(spec, d, c2, log):
-            yield Cover(Poly._raw(spec, g), Poly._raw(spec, h))
-            for k in range(1, s):
-                yield Cover(Poly._raw(spec, raw_monic(spec, _substitute(exp, log, g, k))),
-                            Poly._raw(spec, raw_monic(spec, _substitute(exp, log, h, k))))
+            for gk, hk in zip(_images(exp, log, g, s), _images(exp, log, h, s)):
+                yield Cover(Poly._raw(spec, raw_monic(spec, gk)),
+                            Poly._raw(spec, raw_monic(spec, hk)))
 
 
-def _tangent_dim_raw(S, g, h, d, disc_raw):
-    """xd tangent dimension in the plane's own echelon chart: g1 and h1 run
-    over the non-pivot monomials, one more unknown scales the discriminant,
-    and the dimension is the nullity of the (2d-1)-square system over S."""
-    dh = len(h) - 1
-    cols = _tangent_columns_raw(S, g, h, [e for e in range(d) if e != dh])
-    cols.append(disc_raw)
+def _chart_block(S, g, d, dh):
+    """The g-row part of the tangent rank for h rows of degree dh:
+    (n, rank A, d - 1, W). A has the columns T_g(x^e), e < d, and spans the
+    h1 columns together with the discriminant column; N is a basis of its
+    left kernel. The g1 column x^j, j < d and j != dh, of the chart's
+    system is B(h)_j = sum_i h_i (j - i) x^(i+j-1), so N B(h) =
+    sum_i h_i W[i], with W[i] flattened row by row."""
     n = 2 * d - 1
-    return n - raw_rank(S, _columns_to_rows(cols, n), n)
+    p = S.p
+    N = raw_kernel(S, _t_columns(S, g, n), n)
+    exps = [j for j in range(d) if j != dh]
+    W = [[S.mul(y[i + j - 1], (j - i) % p) if i + j else 0 for y in N for j in exps]
+         for i in range(dh + 1)]
+    return n, n - len(N), len(exps), W
+
+
+def _tangent_dim_raw(S, block, h):
+    """xd tangent dimension of the class with h row h in the plane's own
+    echelon chart: g1 and h1 run over the non-pivot monomials, one more
+    unknown scales the discriminant, and the (2d-1)-square system has
+    rank rank A + rank N B(h) (see _chart_block). So per class only the
+    rank of N B(h), (n - rank A) x (d-1), is left."""
+    n, rank_a, k, W = block
+    m = W[-1]                   # h is monic
+    for i in range(len(h) - 1):
+        if h[i]:
+            m = raw_axpy(S, m, h[i], W[i])
+    return n - rank_a - raw_rank(S, [m[i:i + k] for i in range(0, len(m), k or 1)], k)
 
 
 def _scan_chunk(args):
     """Worker: scan one enumeration slice into {disc: [count, {dim: n}, link]}.
 
-    Each scanned class gets one tangent rank; the other classes of its
+    Each scanned class gets one tangent rank, against its g row's
+    _chart_block, built when the row changes; the other classes of its
     orbit get their keys by substituting x -> γ^k x into the discriminant
     and share its dimension. link is None on the first key an orbit
     reached, and (first key, k) on a key reached from it by γ^k, so that
@@ -203,32 +289,39 @@ def _scan_chunk(args):
     exp, log = _scaling(S, d)
     n = S.order - 1
     table = {}
+    row = block = dim = None
     for g, h, disc, s in _admissible(S, d, c2, log, prefix):
-        key = tuple(raw_monic(S, disc))
-        rec = table.get(key)
-        if rec is None:
-            rec = table[key] = [0, {}, None]
-        first, base = (key, 0) if rec[2] is None else rec[2]
-        dim = _tangent_dim_raw(S, g, h, d, disc) if with_tangent else None
-        for k in range(s):
-            if k:
-                img = tuple(raw_monic(S, _substitute(exp, log, key, k)))
-                rec = table.get(img)
-                if rec is None:
-                    rec = table[img] = [0, {}, (first, (base + k) % n)]
-            rec[0] += 1
-            if with_tangent:
-                dims = rec[1]
-                dims[dim] = dims.get(dim, 0) + 1
+        if with_tangent:
+            if g != row:
+                row, block = g, _chart_block(S, g, d, d - c2)
+            dim = _tangent_dim_raw(S, block, h)
+        for k, img in enumerate(_images(exp, log, disc, s)):
+            key = tuple(raw_monic(S, img))
+            rec = table.get(key)
+            if not k:
+                first, base = (key, 0) if rec is None or rec[2] is None else rec[2]
+            if rec is None:
+                table[key] = [1, {dim: 1} if with_tangent else {},
+                              (first, (base + k) % n) if k else None]
+            else:
+                rec[0] += 1
+                if with_tangent:
+                    dims = rec[1]
+                    dims[dim] = dims.get(dim, 0) + 1
     return table
 
 
 def _merge_tables(dst, src):
-    for key, (count, dims, link) in src.items():
+    """Add the records of src, which is used up, into dst."""
+    if not dst:
+        dst.update(src)
+        return dst
+    for key, new in src.items():
         rec = dst.get(key)
         if rec is None:
-            dst[key] = [count, dims, link]
+            dst[key] = new
         else:
+            count, dims, link = new
             rec[0] += count
             for dim, n in dims.items():
                 rec[1][dim] = rec[1].get(dim, 0) + n
@@ -302,13 +395,15 @@ class CensusResult:
 
 
 def _length_structure(S, disc_key, d, memo):
-    """(finite_lengths, l_inf, factor_profile) from the squarefree
+    """(finite_lengths, l_inf, factor_profile, wild) from the squarefree
     structure; exact, no extension needed. A squarefree factor of degree
     k with multiplicity e contributes k geometric roots of length e, so
-    the multiset never needs the roots themselves. `memo` keeps the
-    results by key across calls."""
-    if disc_key in memo:
-        return memo[disc_key]
+    the multiset never needs the roots themselves; wild says that some
+    length, infinity included, is at least p. `memo` keeps the results
+    by key across calls."""
+    out = memo.get(disc_key)
+    if out is not None:
+        return out
     finite = []
     profile = []
     for fac, mult in raw_sqf_list(S, list(disc_key)):
@@ -316,7 +411,8 @@ def _length_structure(S, disc_key, d, memo):
         profile.append((k, mult))
         finite.extend([mult] * k)
     l_inf = (2 * d - 2) - (len(disc_key) - 1)
-    out = memo[disc_key] = tuple(sorted(finite)), l_inf, tuple(sorted(profile))
+    wild = max(finite, default=0) >= S.p or l_inf >= S.p
+    out = memo[disc_key] = tuple(sorted(finite)), l_inf, tuple(sorted(profile)), wild
     return out
 
 
@@ -360,9 +456,7 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
     if processes < 1:
         raise InputError("a census needs at least one process")
     q = spec.order
-    total = raw_plane_count(q, d)
-    if total > budget:
-        raise BudgetExceeded(f"census of {total} planes exceeds the budget {budget}")
+    total = _check_budget(spec, d, budget)
     if points is None:
         points = total <= POINTS_AUTO_LIMIT
     tasks = []
@@ -394,8 +488,7 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
     for key in keys:
         count, dims, link = table.pop(key)
         first, k = (key, 0) if link is None else link
-        finite, l_inf, profile = _length_structure(spec, first, d, shapes)
-        wild = max(finite, default=0) >= spec.p or l_inf >= spec.p
+        finite, l_inf, profile, wild = _length_structure(spec, first, d, shapes)
         lengths = None
         split_ok = False
         if points:

@@ -93,9 +93,10 @@ def build_parser():
     sp.add_argument("--budget", type=int, default=2_000_000)
     sp.add_argument("--no-tangent", action="store_true", dest="no_tangent",
                     help="skip tangent dimensions")
-    sp.add_argument("--points", dest="points", action="store_true", default=None,
-                    help="force divisor point materialization")
-    sp.add_argument("--no-points", dest="points", action="store_false")
+    points = sp.add_mutually_exclusive_group()
+    points.add_argument("--points", dest="points", action="store_true", default=None,
+                        help="force divisor point materialization")
+    points.add_argument("--no-points", dest="points", action="store_false")
     sp.add_argument("--orbits", action="store_true",
                     help="also count Frobenius orbits of classes (closed form)")
     sp.add_argument("--threads", type=int, default=1,

@@ -13,9 +13,11 @@ same routines behind an immutable interface.
 
 Factorization strategy is deliberately elementary: squarefree
 decomposition with the characteristic-p p-th-power extraction step,
-distinct-degree splitting by gcd with x^(q^r) - x, and per-degree root
-extraction (exhaustive scan in small fields, deterministic Cantor-
-Zassenhaus equal-degree splitting plus Galois orbits above that). Matrix
+distinct-degree splitting by gcd with x^(q^r) - x, and deterministic
+Cantor-Zassenhaus equal-degree splitting of each distinct-degree piece
+(`raw_edf`, chained after `raw_ddf` by `raw_factor_sqf`). Root
+extraction is its degree-1 case: an exhaustive scan in small fields,
+equal-degree splitting plus Galois orbits above that. Matrix
 ranks over the rational function field k(X) use fraction-free elimination
 so no general rational-function type is ever needed.
 """
@@ -65,6 +67,14 @@ def raw_scale(S, a, s):
         return list(a)
     mt, base = S._mul_t, s * S.order
     return [mt[base + c] for c in a]
+
+
+def raw_axpy(S, a, c, b):
+    """a + c b entrywise, for code lists of equal length read as vectors:
+    nothing is trimmed."""
+    mt, at, q = S._mul_t, S._add_t, S.order
+    row = c * q
+    return [at[x * q + mt[row + y]] for x, y in zip(a, b)]
 
 
 def raw_mul(S, a, b):
@@ -279,37 +289,80 @@ def raw_ddf(S, f, cap=None):
                 b = raw_rem(S, b, rem)
 
 
-def _split_root(S, f):
-    """One root of f, which must split into distinct linear factors over S.
+def _splitters(S, h, k):
+    """Cantor-Zassenhaus splitters of h, a monic product of distinct
+    irreducibles of degree k, in a fixed order. For odd p the splitter of
+    a is a^((q^k-1)/2) - 1, with a = x + c for c = 0, 1, ... and then the
+    monic polynomials of each higher degree; for p = 2 it is the trace
+    a + a^2 + ... + a^(2^(mk-1)), with a = b x for b = 1, 2, ... and then
+    b x^t plus lower terms without a constant. Every proper split of h
+    is reached by some a of degree below deg h."""
+    q = S.order
 
-    Equal-degree splitting (Cantor-Zassenhaus) with candidates tried in
-    the fixed element order: gcd(h, (x+c)^((q-1)/2) - 1) for c = 0, 1, ...
-    when p is odd, and gcd(h, Tr(b*x)) for b = 1, 2, ... when p = 2. The
-    caller canonicalizes via Galois conjugates, so which root comes out
-    does not matter.
+    def lows(t):                # all coefficient lists of length t, lazily
+        for n in range(q ** t):
+            yield [n // q ** i % q for i in range(t)]
+
+    for t in range(1, len(h) - 1):
+        if S.p != 2:
+            e = (q ** k - 1) // 2
+            for low in lows(t):
+                yield raw_sub(S, raw_pow_mod(S, [*low, 1], e, h), [1])
+        else:
+            for b in range(1, q):
+                for low in lows(t - 1):
+                    yield _trace_mod(S, [0, *low, b], h, S.m * k)
+
+
+def _split_once(S, h, k):
+    """The first proper monic factor gcd(splitter, h) in _splitters' order."""
+    for s in _splitters(S, h, k):
+        g = raw_gcd(S, s, h)
+        if 1 < len(g) < len(h):
+            return g
+    raise RuntimeError("equal-degree splitting failed on a polynomial assumed "
+                       "to be a product of distinct irreducibles of one degree")
+
+
+def raw_edf(S, f, k):
+    """Equal-degree split: the monic irreducible factors, sorted, of f, a
+    product of distinct irreducibles of degree k (a raw_ddf piece)."""
+    todo = [raw_monic(S, f)]
+    out = []
+    while todo:
+        h = todo.pop()
+        if len(h) - 1 == k:
+            out.append(h)
+        else:
+            g = _split_once(S, h, k)
+            todo += [g, raw_quo_exact(S, h, g)]
+    return sorted(out)
+
+
+def raw_factor_sqf(S, f):
+    """The monic irreducible factors of a squarefree f, sorted by degree and
+    then by coefficients: raw_ddf, then raw_edf on each piece."""
+    pieces, _ = raw_ddf(S, raw_monic(S, f))
+    return [fac for piece, k in pieces for fac in raw_edf(S, piece, k)]
+
+
+def _split_root(S, f):
+    """One root of f, which must split into distinct linear factors over S:
+    the degree-1 case of the equal-degree split, keeping the smaller half
+    of each split. The caller canonicalizes via Galois conjugates, so
+    which root comes out does not matter.
     """
     h = raw_monic(S, f)
-    q = S.order
     while len(h) > 2:
-        if S.p != 2:
-            e = (q - 1) // 2
-            splitters = (raw_sub(S, raw_pow_mod(S, [c, 1], e, h), [1]) for c in range(q))
-        else:
-            splitters = (_trace_mod(S, [0, b], h) for b in range(1, q))
-        for s in splitters:
-            g = raw_gcd(S, s, h)
-            if 1 < len(g) < len(h):
-                break
-        else:
-            raise RuntimeError("root splitting failed on a polynomial assumed split")
+        g = _split_once(S, h, 1)
         h = g if len(g) - 1 <= (len(h) - 1) // 2 else raw_quo_exact(S, h, g)
     return S.neg(h[0])
 
 
-def _trace_mod(S, a, h):
-    """a + a^2 + a^4 + ... + a^(2^(m-1)) mod h, over S = F_{2^m}."""
+def _trace_mod(S, a, h, terms):
+    """a + a^2 + a^4 + ... + a^(2^(terms-1)) mod h, over S = F_{2^m}."""
     acc = []
-    for _ in range(S.m):
+    for _ in range(terms):
         acc = raw_add(S, acc, a)
         a = raw_rem(S, raw_mul(S, a, a), h)
     return acc

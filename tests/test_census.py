@@ -9,11 +9,12 @@ import pytest
 from p1covers import (BudgetExceeded, Cover, InputError, Mobius, Poly,
                       census_by_disc, enumerate_covers, make_field, raw_plane_count,
                       verify_theorem_char23)
-from p1covers.census import (_admissible, _class_total, _materialize_divisor,
-                             _merge_tables, _prefix_tasks, _scaling, _scan_chunk,
-                             _substitute, _tangent_dim_raw)
+from p1covers.census import (_admissible, _chart_block, _class_total, _images,
+                             _materialize_divisor, _merge_tables, _prefix_tasks,
+                             _scaling, _scan_chunk, _tangent_dim_raw)
+from p1covers.deform import _columns_to_rows, _tangent_columns_raw
 from p1covers.field import FieldElement
-from p1covers.poly import (raw_deriv, raw_gcd, raw_monic, raw_mul, raw_rref,
+from p1covers.poly import (raw_deriv, raw_gcd, raw_monic, raw_mul, raw_rank, raw_rref,
                            raw_sub, raw_trim)
 
 F2 = make_field(2)
@@ -71,6 +72,11 @@ def test_enumerate_covers_are_valid_and_canonical():
 def test_enumerate_budget():
     with pytest.raises(BudgetExceeded):
         list(enumerate_covers(F9, 4, budget=1000))
+    for budget in (0, -5):
+        with pytest.raises(InputError):
+            list(enumerate_covers(F3, 2, budget=budget))
+        with pytest.raises(InputError):
+            census_by_disc(F3, 2, budget=budget)
 
 
 def test_census_3_2_nine_records():
@@ -335,6 +341,23 @@ def full_slice(S, d, c2):
                 yield g, h, disc
 
 
+def reference_tangent_dim(S, g, h, d, disc):
+    """Reference: the xd tangent dimension as the nullity of the whole
+    (2d-1)-square system in the plane's echelon chart. g1 and h1 run over
+    the monomials x^e, e < d and e != deg h, and one more column is the
+    discriminant."""
+    dh = len(h) - 1
+    cols = _tangent_columns_raw(S, g, h, [e for e in range(d) if e != dh])
+    cols.append(disc)
+    n = 2 * d - 1
+    return n - raw_rank(S, _columns_to_rows(cols, n), n)
+
+
+def orbit(exp, log, S, a, s):
+    """The monic images a(γ^k x), k < s, as tuples."""
+    return [tuple(raw_monic(S, img)) for img in _images(exp, log, a, s)]
+
+
 def counts_and_dims(table):
     return {key: [rec[0], rec[1]] for key, rec in table.items()}
 
@@ -351,14 +374,11 @@ def test_scaling_transversal_matches_full_scan(spec, d):
             reference.append((tuple(g), tuple(h)))
             rec = ref_table.setdefault(tuple(raw_monic(spec, disc)), [0, {}])
             rec[0] += 1
-            dim = _tangent_dim_raw(spec, g, h, d, disc)
+            dim = reference_tangent_dim(spec, g, h, d, disc)
             rec[1][dim] = rec[1].get(dim, 0) + 1
         for g, h, disc, s in _admissible(spec, d, c2, log):
             orbit_sizes += s
-            expanded.append((tuple(g), tuple(h)))
-            expanded.extend((tuple(raw_monic(spec, _substitute(exp, log, g, k))),
-                             tuple(raw_monic(spec, _substitute(exp, log, h, k))))
-                            for k in range(1, s))
+            expanded.extend(zip(orbit(exp, log, spec, g, s), orbit(exp, log, spec, h, s)))
     assert len(set(expanded)) == len(expanded)       # each class exactly once
     assert set(expanded) == set(reference)
     assert orbit_sizes == len(reference) == _class_total(spec.p, spec.m, d)
@@ -371,7 +391,25 @@ def test_scaling_transversal_matches_full_scan(spec, d):
         if link is not None:
             first, k = link
             assert table[first][2] is None
-            assert tuple(raw_monic(spec, _substitute(exp, log, first, k))) == key
+            assert orbit(exp, log, spec, first, k + 1)[k] == key
+
+
+@pytest.mark.parametrize("spec,max_d", [(F2, 6), (F3, 4)])
+def test_tangent_block_matches_full_system(spec, max_d):
+    # every scanned class: rank A from the g row's chart block plus the
+    # class's own rank of N B(h), against the whole (2d-1)-square system
+    low_rank = set()
+    for d in range(1, max_d + 1):
+        _, log = _scaling(spec, d)
+        for c2 in range(1, d + 1):
+            for g, h, disc, _ in _admissible(spec, d, c2, log):
+                block = _chart_block(spec, g, d, d - c2)
+                if block[1] < d:
+                    low_rank.add(tuple(g))
+                assert (_tangent_dim_raw(spec, block, h)
+                        == reference_tangent_dim(spec, g, h, d, disc)), (g, h)
+    # g in k[x^p] has g' = 0, so T_g(x^e) vanishes for p | e
+    assert (0, 0, 1, 0, 1) in low_rank if spec is F2 else (0, 0, 0, 1) in low_rank
 
 
 @pytest.mark.parametrize("spec,d", [(F4, 4), (F9, 3)])
@@ -413,9 +451,9 @@ def test_scaling_images_without_tables(p, m):
     # and must match substituting a*x into the polynomial with field products
     S = make_field(p, m)
     assert not isinstance(S._mul_t, list)
-    exp, log = _scaling(S, 2)
+    exp, log = _scaling(S, 4)         # images of degree below 8
     n = S.order - 1
-    assert len(exp) == n and len(set(exp)) == n
+    assert len(exp) == 7 * n and len(set(exp)) == n
     assert all(S.mul(exp[k], exp[1]) == exp[(k + 1) % n] for k in range(0, n, 97))
     rng = random.Random(1000 * p + m)
     for _ in range(40):
@@ -426,4 +464,4 @@ def test_scaling_images_without_tables(p, m):
         image = Poly.zero(S)
         for c in reversed(Poly._raw(S, D).coeffs()):
             image = image * ax + Poly.constant(S, c)
-        assert raw_monic(S, _substitute(exp, log, D, k)) == list(image.monic().c)
+        assert list(orbit(exp, log, S, D, k + 1)[k]) == list(image.monic().c)

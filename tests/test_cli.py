@@ -201,6 +201,19 @@ def test_exit_codes(capsys):
     assert code == 1 and "split" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_census_rejects_budget_below_one(capsys, budget):
+    code, out, err = run(capsys, "census", "--p", "2", "--d", "2", "--budget", budget)
+    assert code == 2 and "budget must be at least 1" in err and out == ""
+
+
+def test_census_points_flags_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--p", "2", "--d", "2", "--points", "--no-points"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_census_rejects_threads_below_one(capsys, threads):
     code, out, err = run(capsys, "census", "--p", "2", "--d", "2", "--threads", threads)

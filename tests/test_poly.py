@@ -248,6 +248,55 @@ def test_sqf_and_ddf_match_sympy(p):
             assert {r: h for h, r in pieces} == want
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_factor_sqf_matches_sympy(p):
+    # the equal-degree split on raw_ddf's pieces against sympy's
+    # factorization of squarefree polynomials over F_p
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor_sqf
+    from p1covers.poly import raw_ddf, raw_factor_sqf, raw_mul, raw_sqf_list
+
+    S = make_field(p)
+    rng = random.Random(6000 + p)
+    split_degrees = set()
+    for _ in range(40):
+        f = [rng.randrange(1, p)]
+        for _ in range(rng.randint(1, 6)):
+            f = raw_mul(S, f, [rng.randrange(p) for _ in range(rng.randint(1, 4))] + [1])
+        for fac, _ in raw_sqf_list(S, f):
+            split_degrees.update(k for piece, k in raw_ddf(S, fac)[0] if len(piece) - 1 > k)
+            _, expected = gf_factor_sqf(_sympy_dense(fac), p, ZZ)
+            got = raw_factor_sqf(S, fac)
+            assert sorted(map(tuple, got)) == sorted(tuple(reversed(e)) for e in expected)
+    assert any(k > 1 for k in split_degrees)    # pieces of several factors of degree > 1
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2)])
+def test_factor_sqf_nonprime_base(p, m):
+    # no sympy oracle over F_4, F_8, F_9: the factors multiply back to the
+    # input, are distinct and monic, and raw_ddf finds each irreducible
+    from p1covers.poly import raw_ddf, raw_factor_sqf, raw_mul, raw_sqf_list
+
+    S = make_field(p, m)
+    rng = random.Random(100 * p + m)
+    split_degrees = set()
+    for _ in range(60):
+        f = [1]
+        for _ in range(rng.randint(1, 4)):
+            f = raw_mul(S, f, [rng.randrange(S.order) for _ in range(rng.randint(1, 4))] + [1])
+        for fac, _ in raw_sqf_list(S, f):
+            split_degrees.update(k for piece, k in raw_ddf(S, fac)[0] if len(piece) - 1 > k)
+            factors = raw_factor_sqf(S, fac)
+            assert len(set(map(tuple, factors))) == len(factors)
+            prod = [1]
+            for P in factors:
+                assert P[-1] == 1
+                assert raw_ddf(S, P) == ([(P, len(P) - 1)], None)
+                prod = raw_mul(S, prod, P)
+            assert prod == fac
+    assert any(k > 1 for k in split_degrees)
+
+
 @pytest.mark.parametrize("p,m", [(2, 8), (5, 4), (2, 10), (3, 7)])
 def test_split_root_returns_a_root(p, m):
     # both splitting branches (p = 2 trace, odd p powering), on both sides
@@ -265,13 +314,29 @@ def test_split_root_returns_a_root(p, m):
         assert _split_root(S, f) in roots
 
 
+def test_split_root_memory_independent_of_field_size():
+    # the splitting candidates come one at a time: a root over F_{3^12},
+    # 531441 elements, allocates nothing of the field's size
+    import tracemalloc
+    from p1covers.poly import _split_root, raw_mul
+    S = make_field(3, 12)
+    f = raw_mul(S, [S.neg(5), 1], [S.neg(1234), 1])
+    tracemalloc.start()
+    try:
+        assert _split_root(S, f) in (5, 1234)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("p,m", [(3, 6), (2, 9)])
 def test_raw_layer_agrees_without_tables(p, m, monkeypatch):
     # the same raw loops on a tabled field and on a copy of it built above
     # the table limit, whose stand-ins compute every entry
     from p1covers import field
-    from p1covers.poly import (raw_divrem, raw_eval, raw_gcd, raw_kernel, raw_mul,
-                               raw_rank, raw_rref, raw_sqf_list)
+    from p1covers.poly import (raw_axpy, raw_divrem, raw_eval, raw_factor_sqf, raw_gcd,
+                               raw_kernel, raw_mul, raw_rank, raw_rref, raw_sqf_list)
     T = make_field(p, m)
     make_field(p)  # interned with its tables before the limit drops
     monkeypatch.setattr(field, "TABLE_LIMIT", 0)
@@ -294,12 +359,16 @@ def test_raw_layer_agrees_without_tables(p, m, monkeypatch):
         for _ in range(p - 1):
             f = raw_mul(T, f, c)  # a * b^2 * c^p: every branch of the recursion
         assert raw_sqf_list(S, f) == raw_sqf_list(T, f)
+        for fac, _ in raw_sqf_list(T, ac):
+            assert raw_factor_sqf(S, fac) == raw_factor_sqf(T, fac)
     for _ in range(12):
         nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 7)
         rows = [[rng.randrange(T.order) for _ in range(ncols)] for _ in range(nrows)]
         k = rng.randrange(1, T.order)
         rows.append([T.add(x, T.mul(k, y)) for x, y in zip(rows[0], rows[-1])])
         rows.append([0] * ncols)
+        axpy = [T.add(x, T.mul(k, y)) for x, y in zip(rows[0], rows[1])]
+        assert raw_axpy(S, rows[0], k, rows[1]) == raw_axpy(T, rows[0], k, rows[1]) == axpy
         assert raw_rank(S, rows, ncols) == raw_rank(T, rows, ncols)
         assert raw_rref(S, rows, ncols) == raw_rref(T, rows, ncols)
         assert raw_kernel(S, rows, ncols) == raw_kernel(T, rows, ncols)
