@@ -17,28 +17,32 @@ F_2). The other classes of a scanned class's orbit get their
 discriminant keys by substitution and share its tangent dimension.
 
 The scan works one g row at a time, and everything that depends on g
-alone is done once per row. The discriminant T_g(h) = h g' - g h' and
-the residues h mod P, for the monic irreducible factors P of g (a
-squarefree, distinct-degree and equal-degree split of g), are affine in
-the free cells of h. So each h row costs vector adds: a zero residue
-block means a shared factor, a zero discriminant an inseparable plane.
-The tangent dimension is the nullity of the (2d-1)-square xd system in
-the plane's own echelon chart. The columns A = [T_g(x^e), e < d] span
-its h1 columns together with the discriminant column, so its rank is
-rank A + rank N B(h), with N a left-kernel basis of A, once per row, and
-N B(h) affine in h. Per class only a (2d-1 - rank A) x (d-1) rank is
-left.
+alone is done once per census: a g row lies in every slice where its
+cell c2 is zero, and the slices of one scan task share a memo of g-row
+data (_g_row) that lives for that task. The discriminant
+T_g(h) = h g' - g h' and the residues h mod P, for the monic irreducible
+factors P of g (a squarefree, distinct-degree and equal-degree split of
+g), are affine in the free cells of h. So each h row costs vector adds:
+a zero residue block means a shared factor, a zero discriminant an
+inseparable plane. The tangent dimension is the nullity of the
+(2d-1)-square xd system in the plane's own echelon chart. The columns
+A = [T_g(x^e), e < d] span its h1 columns together with the
+discriminant column, so its rank is rank A + rank N B(h), with N a
+left-kernel basis of A, once per g row, and N B(h) affine in h. Per
+class only a (2d-1 - rank A) x (d-1) rank is left.
 
 Records group the classes by monic discriminant. Length multisets come
 from the squarefree structure, exact and extension-free; divisor points,
 the only part that may need an extension field, are materialized when
-cheap or requested. Both are computed once per orbit of keys, on the
-first key the scan reached: a key reached from it by x -> ax has the
-same length structure, and its points are the first key's points times
-a^-1. The class total is checked against its closed form, from which
-Burnside gives the Frobenius orbit count. Enumeration can be partitioned
-across processes along the g-row prefixes the scan reaches; the merge is
-a deterministic reduce keyed on the discriminant.
+cheap or requested, from the same squarefree split. Both are computed
+once per orbit of keys, on the first key the scan reached: a key
+reached from it by x -> ax has the same length structure, and its
+points are the first key's points times a^-1. The class total is
+checked against its closed form, from which Burnside gives the
+Frobenius orbit count. Enumeration can be partitioned across processes
+along the g-row prefixes the scan reaches; the slices left whole are
+one task, and the merge is a deterministic reduce keyed on the
+discriminant.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .errors import BudgetExceeded, InputError
 from .field import FieldElement, FieldSpec, make_field
 from .poly import (Poly, raw_add, raw_axpy, raw_deriv, raw_factor_sqf, raw_kernel,
                    raw_monic, raw_rank, raw_rem, raw_scale, raw_shift, raw_sqf_list,
-                   raw_trim, roots_with_multiplicity)
+                   raw_sqf_roots, raw_trim)
 
 DEFAULT_BUDGET = 2_000_000
 POINTS_AUTO_LIMIT = 50_000
@@ -129,11 +133,12 @@ def _g_starts(log, d, c2):
     return _orbit_starts(log, [-j for j in range(1, d + 1) if j != c2])
 
 
-def _admissible(S, d, c2, log, prefix=()):
+def _admissible(S, d, c2, log, prefix=(), memo=None):
     """Raw (g, h, disc, s), one admissible echelon matrix with pivots at
     columns (0, c2) per orbit of the scaling x -> γ^k x; disc = h g' - g h'
     and s is the orbit size. `prefix` pins the first free cells of the g
-    row; `log` comes from _scaling.
+    row; `log` comes from _scaling; `memo` holds the _g_row data of the
+    g rows already seen, so slices that share a g row build it once.
 
     Column j holds the coefficient of x^(d-j). With the pivots put back
     to 1, the scaling multiplies g_j by γ^(-k j) and h_j by γ^(k (c2-j)),
@@ -142,8 +147,8 @@ def _admissible(S, d, c2, log, prefix=()):
     run in the fixed element order, the h row fastest.
 
     For a fixed g row, h -> (T_g(h), h mod P for each monic irreducible
-    factor P of g) is affine in the free h cells, so _affine_rows builds
-    it once per g row and each h row costs one scaled vector add per
+    factor P of g) is affine in the free h cells, with the rows of _g_row
+    as its base and cells, so each h row costs one scaled vector add per
     changed cell, the last cell most of the time. A zero residue block
     means a shared factor, a zero discriminant an inseparable plane.
     """
@@ -151,6 +156,8 @@ def _admissible(S, d, c2, log, prefix=()):
     free_h = list(range(c2 + 1, d + 1))
     if len(prefix) > len(free_g):
         raise InputError("prefix longer than the free cells of the g row")
+    if memo is None:
+        memo = {}
     head = tuple(prefix)
     n = 2 * d - 1
     h_rows = {}         # stabilizer step -> [(h, h cells, orbit size, first changed cell)]
@@ -167,8 +174,9 @@ def _admissible(S, d, c2, log, prefix=()):
                                len(last))
                 hs.append((_row(d, c2, free_h, hvals), hvals, s, changed))
                 last = hvals
-        base, cells, blocks = _affine_rows(S, g, [d - c2] + [d - j for j in free_h], n)
-        acc = [base] * (len(cells) + 1)     # acc[i + 1]: base plus cells 0..i
+        rows, blocks, _ = _g_row(S, g, d, memo)
+        cells = [rows[d - j] for j in free_h]
+        acc = [rows[d - c2]] * (len(cells) + 1)     # acc[i + 1]: base plus cells 0..i
         for h, hvals, s, changed in hs:
             for i in range(changed, len(cells)):
                 c = hvals[i]
@@ -180,24 +188,33 @@ def _admissible(S, d, c2, log, prefix=()):
                     yield g, h, disc, s
 
 
-def _affine_rows(S, g, exps, n):
-    """(base, cells, blocks): the vector of x^exps[0] and of each x^e, e in
-    exps[1:], under h -> T_g(h) (n coefficients) followed by h mod P for
-    each monic irreducible factor P of g; blocks are the residue slices."""
-    factors = [P for fac, _ in raw_sqf_list(S, g) for P in raw_factor_sqf(S, fac)]
-    blocks = []
-    for P in factors:
-        lo = blocks[-1][1] if blocks else n
-        blocks.append((lo, lo + len(P) - 1))
-    cols = _t_columns(S, g, n)
-    rows = []
-    for e in exps:
-        xe = [0] * e + [1]
-        row = list(cols[e])
+def _g_row(S, g, d, memo):
+    """[rows, blocks, W] of the g row g: what the scan needs of g in every
+    slice that g appears in (one per zero among its free cells), taken
+    from memo or built into it once.
+
+    rows[e], e < d, is T_g(x^e) as 2d-1 coefficients followed by x^e mod
+    P for each monic irreducible factor P of g: the image of the h cell
+    x^e under _admissible's affine map. blocks are the residue slices of
+    a row. W starts as None and is filled by _chart_block."""
+    key = tuple(g)
+    out = memo.get(key)
+    if out is None:
+        n = 2 * d - 1
+        factors = [P for fac, _ in raw_sqf_list(S, g) for P in raw_factor_sqf(S, fac)]
+        blocks = []
+        lo = n
         for P in factors:
-            row += _padded(raw_rem(S, xe, P), len(P) - 1)
-        rows.append(row)
-    return rows[0], rows[1:], blocks
+            blocks.append((lo, lo + len(P) - 1))
+            lo += len(P) - 1
+        rows = []
+        for e, row in enumerate(_t_columns(S, g, n)):
+            xe = [0] * e + [1]
+            for P in factors:
+                row += _padded(raw_rem(S, xe, P), len(P) - 1)
+            rows.append(row)
+        out = memo[key] = [rows, blocks, None]
+    return out
 
 
 def _t_columns(S, g, n):
@@ -237,27 +254,36 @@ def enumerate_covers(spec: FieldSpec, d: int, budget: int = DEFAULT_BUDGET):
     each scanned class followed by the rest of its scaling orbit."""
     _check_budget(spec, d, budget)
     exp, log = _scaling(spec, d)
+    memo = {}
     for c2 in range(1, d + 1):
-        for g, h, _, s in _admissible(spec, d, c2, log):
+        for g, h, _, s in _admissible(spec, d, c2, log, (), memo):
             for gk, hk in zip(_images(exp, log, g, s), _images(exp, log, h, s)):
                 yield Cover(Poly._raw(spec, raw_monic(spec, gk)),
                             Poly._raw(spec, raw_monic(spec, hk)))
 
 
-def _chart_block(S, g, d, dh):
+def _chart_block(S, g, d, dh, memo):
     """The g-row part of the tangent rank for h rows of degree dh:
     (n, rank A, d - 1, W). A has the columns T_g(x^e), e < d, and spans the
     h1 columns together with the discriminant column; N is a basis of its
     left kernel. The g1 column x^j, j < d and j != dh, of the chart's
     system is B(h)_j = sum_i h_i (j - i) x^(i+j-1), so N B(h) =
-    sum_i h_i W[i], with W[i] flattened row by row."""
+    sum_i h_i W[i], with W[i] flattened row by row.
+
+    N and the products (j - i) y[i+j-1], y in N, for all i, j < d depend
+    on g alone: they are built once into the g row's _g_row entry in
+    memo, and each slice takes the columns j != dh from them."""
     n = 2 * d - 1
-    p = S.p
-    N = raw_kernel(S, _t_columns(S, g, n), n)
+    grow = _g_row(S, g, d, memo)
+    if grow[2] is None:
+        mt, q, p = S._mul_t, S.order, S.p
+        N = raw_kernel(S, [row[:n] for row in grow[0]], n)
+        grow[2] = [[[mt[y[i + j - 1] * q + (j - i) % p] if i + j else 0 for j in range(d)]
+                    for y in N] for i in range(d)]
+    full = grow[2]
     exps = [j for j in range(d) if j != dh]
-    W = [[S.mul(y[i + j - 1], (j - i) % p) if i + j else 0 for y in N for j in exps]
-         for i in range(dh + 1)]
-    return n, n - len(N), len(exps), W
+    W = [[row[j] for row in full[i] for j in exps] for i in range(dh + 1)]
+    return n, n - len(full[0]), len(exps), W
 
 
 def _tangent_dim_raw(S, block, h):
@@ -275,7 +301,10 @@ def _tangent_dim_raw(S, block, h):
 
 
 def _scan_chunk(args):
-    """Worker: scan one enumeration slice into {disc: [count, {dim: n}, link]}.
+    """Worker: scan enumeration slices into one table {disc: [count,
+    {dim: n}, link]}. args is (p, m, d, slices, with_tangent), and each
+    slice a pair (c2, prefix) for _admissible; the slices share one memo
+    of g-row data, which lives for this call.
 
     Each scanned class gets one tangent rank, against its g row's
     _chart_block, built when the row changes; the other classes of its
@@ -284,30 +313,32 @@ def _scan_chunk(args):
     reached, and (first key, k) on a key reached from it by γ^k, so that
     link always names a key whose own link is None.
     """
-    p, m, d, c2, prefix, with_tangent = args
+    p, m, d, slices, with_tangent = args
     S = make_field(p, m)
     exp, log = _scaling(S, d)
     n = S.order - 1
     table = {}
-    row = block = dim = None
-    for g, h, disc, s in _admissible(S, d, c2, log, prefix):
-        if with_tangent:
-            if g != row:
-                row, block = g, _chart_block(S, g, d, d - c2)
-            dim = _tangent_dim_raw(S, block, h)
-        for k, img in enumerate(_images(exp, log, disc, s)):
-            key = tuple(raw_monic(S, img))
-            rec = table.get(key)
-            if not k:
-                first, base = (key, 0) if rec is None or rec[2] is None else rec[2]
-            if rec is None:
-                table[key] = [1, {dim: 1} if with_tangent else {},
-                              (first, (base + k) % n) if k else None]
-            else:
-                rec[0] += 1
-                if with_tangent:
-                    dims = rec[1]
-                    dims[dim] = dims.get(dim, 0) + 1
+    memo = {}
+    for c2, prefix in slices:
+        row = block = dim = None
+        for g, h, disc, s in _admissible(S, d, c2, log, prefix, memo):
+            if with_tangent:
+                if g is not row:
+                    row, block = g, _chart_block(S, g, d, d - c2, memo)
+                dim = _tangent_dim_raw(S, block, h)
+            for k, img in enumerate(_images(exp, log, disc, s)):
+                key = tuple(raw_monic(S, img))
+                rec = table.get(key)
+                if not k:
+                    first, base = (key, 0) if rec is None or rec[2] is None else rec[2]
+                if rec is None:
+                    table[key] = [1, {dim: 1} if with_tangent else {},
+                                  (first, (base + k) % n) if k else None]
+                else:
+                    rec[0] += 1
+                    if with_tangent:
+                        dims = rec[1]
+                        dims[dim] = dims.get(dim, 0) + 1
     return table
 
 
@@ -395,24 +426,27 @@ class CensusResult:
 
 
 def _length_structure(S, disc_key, d, memo):
-    """(finite_lengths, l_inf, factor_profile, wild) from the squarefree
-    structure; exact, no extension needed. A squarefree factor of degree
-    k with multiplicity e contributes k geometric roots of length e, so
-    the multiset never needs the roots themselves; wild says that some
-    length, infinity included, is at least p. `memo` keeps the results
-    by key across calls."""
+    """(finite_lengths, l_inf, factor_profile, wild, sqf) from the
+    squarefree structure sqf = raw_sqf_list of the key; exact, no
+    extension needed. A squarefree factor of degree k with multiplicity e
+    contributes k geometric roots of length e, so the multiset never
+    needs the roots themselves; wild says that some length, infinity
+    included, is at least p. sqf is returned for _materialize_divisor.
+    `memo` keeps the results by key across calls."""
     out = memo.get(disc_key)
     if out is not None:
         return out
     finite = []
     profile = []
-    for fac, mult in raw_sqf_list(S, list(disc_key)):
+    sqf = raw_sqf_list(S, list(disc_key))
+    for fac, mult in sqf:
         k = len(fac) - 1
         profile.append((k, mult))
         finite.extend([mult] * k)
     l_inf = (2 * d - 2) - (len(disc_key) - 1)
     wild = max(finite, default=0) >= S.p or l_inf >= S.p
-    out = memo[disc_key] = tuple(sorted(finite)), l_inf, tuple(sorted(profile)), wild
+    out = memo[disc_key] = (tuple(sorted(finite)), l_inf, tuple(sorted(profile)), wild,
+                            sqf)
     return out
 
 
@@ -421,7 +455,7 @@ def _prefix_tasks(spec, d, c2, k, with_tangent):
     prefix of the g row that the scan reaches, in scan order."""
     _, log = _scaling(spec, d)
     prefixes = dict.fromkeys(vals[:k] for vals, _ in _g_starts(log, d, c2))
-    return [(spec.p, spec.m, d, c2, prefix, with_tangent) for prefix in prefixes]
+    return [(spec.p, spec.m, d, ((c2, prefix),), with_tangent) for prefix in prefixes]
 
 
 def _gc_paused(fn):
@@ -459,6 +493,7 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
     total = _check_budget(spec, d, budget)
     if points is None:
         points = total <= POINTS_AUTO_LIMIT
+    whole = []          # slices scanned in one task, sharing their g rows
     tasks = []
     for c2 in range(1, d + 1):
         n_free_g = d - 1
@@ -467,7 +502,9 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
             k = 2 if q ** (n_free_g - 2) * q ** (d - c2) <= 200_000 else 3
             tasks.extend(_prefix_tasks(spec, d, c2, min(k, n_free_g), with_tangent))
         else:
-            tasks.append((spec.p, spec.m, d, c2, (), with_tangent))
+            whole.append((c2, ()))
+    if whole:
+        tasks.insert(0, (spec.p, spec.m, d, tuple(whole), with_tangent))
     table = {}
     if processes > 1 and len(tasks) > 1:
         import concurrent.futures
@@ -488,13 +525,14 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
     for key in keys:
         count, dims, link = table.pop(key)
         first, k = (key, 0) if link is None else link
-        finite, l_inf, profile, wild = _length_structure(spec, first, d, shapes)
+        finite, l_inf, profile, wild, sqf = _length_structure(spec, first, d, shapes)
         lengths = None
         split_ok = False
         if points:
             found = divisors.get(first)
             if found is None:
-                found = divisors[first] = _materialize_divisor(spec, first, l_inf, max_ext)
+                found = divisors[first] = _materialize_divisor(spec, first, l_inf, max_ext,
+                                                               sqf)
             lengths, split_ok = found
             if k and lengths is not None:
                 lengths = _scaled_divisor(spec, lengths, exp[-k])
@@ -513,12 +551,17 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
                         galois_orbits=orbits)
 
 
-def _materialize_divisor(S, disc_key, l_inf, max_ext):
+def _materialize_divisor(S, disc_key, l_inf, max_ext, sqf=None):
+    """(Divisor of the key's roots and l_inf at INF, True), or (None,
+    False) when the key does not split within max_ext; sqf is the key's
+    raw_sqf_list when the caller has it already."""
     pairs = []
     split_ok = True
     if len(disc_key) > 1:
-        roots, residual = roots_with_multiplicity(Poly._raw(S, list(disc_key)), max_ext)
-        split_ok = residual.degree() == 0
+        if sqf is None:
+            sqf = raw_sqf_list(S, list(disc_key))
+        roots, residual = raw_sqf_roots(S, sqf, max_ext)
+        split_ok = len(residual) == 1
         pairs.extend(roots)
     if not split_ok:
         return None, False

@@ -18,11 +18,12 @@ each table are filled by C-level gathers and share one int object per
 code. A larger field gets read-only stand-ins in the same five slots
 (`_Computed`, `_ComputedPair`): indexing one at `a*q + b` (at `a` for
 neg and inv) computes the entry. So `FieldSpec`'s ops and `poly`'s raw
-layer index one way and never ask which kind a field has; only this
-module decides. Computed products use packed-integer arithmetic (up to
-2^20 elements, with digit and packing caches built from
-`itertools.product`) or digit-vector arithmetic, both with precomputed
-modular reduction rows.
+layer index one way; only this module decides which kind a field has,
+and `FieldSpec.tabled` reports it to the one caller that chooses by it,
+root finding, which scans the codes of a tabled field. Computed
+products use packed-integer arithmetic (up to 2^20 elements, with digit
+and packing caches built from `itertools.product`) or digit-vector
+arithmetic, both with precomputed modular reduction rows.
 
 This module only knows field elements: every polynomial step it needs
 runs on `poly`'s raw layer. Field construction is deterministic:
@@ -180,6 +181,11 @@ class FieldSpec:
             self._mul_t = _ComputedPair(self._mul_slow, q)
             self._neg_t = _Computed(self._neg_slow)
             self._inv_t = _Computed(self._inv_slow)
+
+    @property
+    def tabled(self) -> bool:
+        """Whether the field got lookup tables when it was made."""
+        return isinstance(self._mul_t, list)
 
     # -- encoding ----------------------------------------------------------
 

@@ -16,8 +16,12 @@ decomposition with the characteristic-p p-th-power extraction step,
 distinct-degree splitting by gcd with x^(q^r) - x, and deterministic
 Cantor-Zassenhaus equal-degree splitting of each distinct-degree piece
 (`raw_edf`, chained after `raw_ddf` by `raw_factor_sqf`). Root
-extraction is its degree-1 case: an exhaustive scan in small fields,
-equal-degree splitting plus Galois orbits above that. Matrix
+extraction works one Frobenius orbit at a time: it takes one root of each
+orbit and divides the whole orbit out. In a field with lookup tables that
+root comes from a scan of the codes that resumes where the last one
+stopped, above the table limit from the degree-1 case of the equal-degree
+split. `raw_sqf_roots` does it from a squarefree list that the caller
+already has; `roots_with_multiplicity` is its `Poly` wrapper. Matrix
 ranks over the rational function field k(X) use fraction-free elimination
 so no general rational-function type is ever needed.
 """
@@ -368,30 +372,34 @@ def _trace_mod(S, a, h, terms):
     return acc
 
 
-_ROOT_SCAN_LIMIT = 128
-
-
 def _roots_of_split_product(base_order, sub: FieldSpec, g):
-    """All roots in `sub` of g, a product of base-irreducibles that split there."""
-    if sub.order <= _ROOT_SCAN_LIMIT:
-        return [c for c in range(sub.order) if raw_eval(sub, g, c) == 0]
+    """All roots in `sub`, sorted, of g, a product of distinct
+    base-irreducibles that split there, one Frobenius orbit at a time: a
+    root's orbit under c -> c^base_order is the roots of its irreducible
+    factor, and is divided out. In a field with tables a root comes from
+    scanning the codes upward from where the last scan stopped, above it
+    from _split_root. The scan tries no splitters, which waste work once
+    h is a single orbit: over a prime base field a splitter of x + c,
+    c in F_p, takes one value on a whole orbit."""
     roots = []
     h = raw_monic(sub, g)
-    while len(h) - 1 > 0:
-        if len(h) - 1 == 1:
+    c = 0
+    while len(h) > 1:
+        if len(h) == 2:
             r0 = sub.neg(h[0])
+        elif sub.tabled:
+            while raw_eval(sub, h, c):
+                c += 1
+            r0 = c
         else:
             r0 = _split_root(sub, h)
-        orb = []
         x = r0
         while True:
-            orb.append(x)
+            h = raw_quo_exact(sub, h, [sub.neg(x), 1])
+            roots.append(x)
             x = sub.pow_code(x, base_order)
             if x == r0:
                 break
-        for c in orb:
-            h = raw_quo_exact(sub, h, [sub.neg(c), 1])
-        roots.extend(orb)
     return sorted(roots)
 
 
@@ -422,11 +430,18 @@ def roots_with_multiplicity(a: "Poly", max_ext: int = 4):
     f = list(a.c)
     if not f:
         raise InputError("zero polynomial has no root data")
+    roots, residual = raw_sqf_roots(S, raw_sqf_list(S, f), max_ext)
+    return roots, Poly(S, residual)
+
+
+def raw_sqf_roots(S, sqf, max_ext):
+    """roots_with_multiplicity of a polynomial over S from its squarefree
+    list sqf = raw_sqf_list(S, a), with the residual as a raw list."""
     if max_ext < 1:
         raise InputError("max_ext must be at least 1")
     split_pieces = []
     residual_parts = []
-    for fac, e in raw_sqf_list(S, f):
+    for fac, e in sqf:
         pieces, leftover = raw_ddf(S, fac, cap=max_ext)
         for g, r in pieces:
             split_pieces.append((g, r, e))
@@ -461,7 +476,7 @@ def roots_with_multiplicity(a: "Poly", max_ext: int = 4):
         for _ in range(e):
             residual = raw_mul(S, residual, fac)
     roots.sort(key=lambda t: t[0].code)
-    return roots, Poly(S, residual)
+    return roots, residual
 
 
 # -- linear algebra over F_q -------------------------------------------------

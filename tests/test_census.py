@@ -15,7 +15,7 @@ from p1covers.census import (_admissible, _chart_block, _class_total, _images,
 from p1covers.deform import _columns_to_rows, _tangent_columns_raw
 from p1covers.field import FieldElement
 from p1covers.poly import (raw_deriv, raw_gcd, raw_monic, raw_mul, raw_rank, raw_rref,
-                           raw_sub, raw_trim)
+                           raw_sqf_list, raw_sub, raw_trim)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -384,7 +384,7 @@ def test_scaling_transversal_matches_full_scan(spec, d):
     assert orbit_sizes == len(reference) == _class_total(spec.p, spec.m, d)
     table = {}
     for c2 in range(1, d + 1):
-        _merge_tables(table, _scan_chunk((spec.p, spec.m, d, c2, (), True)))
+        _merge_tables(table, _scan_chunk((spec.p, spec.m, d, ((c2, ()),), True)))
     assert counts_and_dims(table) == ref_table
     # a link names its orbit's first key and the scaling that reaches the key
     for key, (_, _, link) in table.items():
@@ -401,9 +401,10 @@ def test_tangent_block_matches_full_system(spec, max_d):
     low_rank = set()
     for d in range(1, max_d + 1):
         _, log = _scaling(spec, d)
+        memo = {}                   # g rows shared across the slices
         for c2 in range(1, d + 1):
-            for g, h, disc, _ in _admissible(spec, d, c2, log):
-                block = _chart_block(spec, g, d, d - c2)
+            for g, h, disc, _ in _admissible(spec, d, c2, log, (), memo):
+                block = _chart_block(spec, g, d, d - c2, memo)
                 if block[1] < d:
                     low_rank.add(tuple(g))
                 assert (_tangent_dim_raw(spec, block, h)
@@ -412,10 +413,65 @@ def test_tangent_block_matches_full_system(spec, max_d):
     assert (0, 0, 1, 0, 1) in low_rank if spec is F2 else (0, 0, 0, 1) in low_rank
 
 
+@pytest.mark.parametrize("spec,d", [(F2, 6), (F3, 4), (F4, 3), (F9, 3)])
+def test_shared_scan_matches_per_slice_scans(spec, d):
+    # one task over every slice shares its g rows and its table: the same
+    # counts and dimensions as scanning each slice alone, and its links
+    # still name first keys
+    slices = tuple((c2, ()) for c2 in range(1, d + 1))
+    shared = _scan_chunk((spec.p, spec.m, d, slices, True))
+    merged = {}
+    for sl in slices:
+        _merge_tables(merged, _scan_chunk((spec.p, spec.m, d, (sl,), True)))
+    assert counts_and_dims(shared) == counts_and_dims(merged)
+    exp, log = _scaling(spec, d)
+    for key, (_, _, link) in shared.items():
+        if link is not None:
+            first, k = link
+            assert shared[first][2] is None
+            assert orbit(exp, log, spec, first, k + 1)[k] == key
+
+
+@pytest.mark.parametrize("spec,d,visits,distinct", [(F2, 6, 192, 63), (F3, 4, 66, 37)])
+def test_g_row_work_once_per_census(spec, d, visits, distinct, monkeypatch):
+    # a g row is scanned in every slice where its cell c2 is zero; its
+    # factors and T_g columns are built once per census all the same, and
+    # a second census builds them again, so no cache outlives a call
+    import p1covers.census as census_mod
+    _, log = _scaling(spec, d)
+    scanned = []
+    for c2 in range(1, d + 1):
+        free_g = [j for j in range(1, d + 1) if j != c2]
+        scanned += [tuple(census_mod._row(d, 0, free_g, vals))
+                    for vals, _ in census_mod._g_starts(log, d, c2)]
+    rows = set(scanned)
+    assert (len(scanned), len(rows)) == (visits, distinct)
+    n_factored = sum(len(raw_sqf_list(spec, list(g))) for g in rows)
+    columns, factored = [], []
+    t_columns, factor_sqf = census_mod._t_columns, census_mod.raw_factor_sqf
+
+    def counted_columns(S, g, n):
+        columns.append(tuple(g))
+        return t_columns(S, g, n)
+
+    def counted_factor(S, f):
+        factored.append(tuple(f))
+        return factor_sqf(S, f)
+
+    monkeypatch.setattr(census_mod, "_t_columns", counted_columns)
+    monkeypatch.setattr(census_mod, "raw_factor_sqf", counted_factor)
+    for _ in range(2):
+        columns.clear()
+        factored.clear()
+        census_by_disc(spec, d, points=True)
+        assert sorted(columns) == sorted(rows)
+        assert len(factored) == n_factored
+
+
 @pytest.mark.parametrize("spec,d", [(F4, 4), (F9, 3)])
 def test_prefix_tasks_split_the_slice(spec, d):
     for c2 in range(1, d + 1):
-        whole = _scan_chunk((spec.p, spec.m, d, c2, (), True))
+        whole = _scan_chunk((spec.p, spec.m, d, ((c2, ()),), True))
         for k in range(1, d):
             tasks = _prefix_tasks(spec, d, c2, k, True)
             assert len(tasks) < spec.order ** k     # unreachable prefixes dropped

@@ -374,6 +374,44 @@ def test_raw_layer_agrees_without_tables(p, m, monkeypatch):
         assert raw_kernel(S, rows, ncols) == raw_kernel(T, rows, ncols)
 
 
+@pytest.mark.parametrize("p,m,r", [(3, 1, 5), (2, 1, 8), (2, 2, 4), (7, 1, 3), (2, 3, 3),
+                                   (5, 1, 4), (5, 2, 2), (3, 1, 6), (3, 2, 3)])
+def test_split_product_roots_scan_and_split_agree(p, m, r, monkeypatch):
+    # products of one to three distinct irreducibles of degree r over F_{p^m},
+    # in F_{p^(m r)} with 243 to 729 elements: the tabled code scan, a scan
+    # of every code and the per-orbit split of an untabled copy agree
+    from p1covers import field
+    from p1covers.poly import (_roots_of_split_product, raw_deriv, raw_embed, raw_eval,
+                               raw_factor_sqf, raw_gcd, raw_mul, raw_sqf_list,
+                               raw_sqf_roots)
+    S, T = make_field(p, m), make_field(p, m * r)
+    make_field(p)  # interned with its tables before the limit drops
+    monkeypatch.setattr(field, "TABLE_LIMIT", 0)
+    U = field.FieldSpec(p, m * r, T.modulus)
+    monkeypatch.undo()  # no field made below is cached without tables
+    assert T.tabled and not U.tabled
+    rng = random.Random(1000 * p + 10 * m + r)
+    irreducibles = set()
+    while len(irreducibles) < 6:
+        P = [rng.randrange(S.order) for _ in range(r)] + [1]
+        if len(raw_gcd(S, P, raw_deriv(S, P))) == 1 and raw_factor_sqf(S, P) == [P]:
+            irreducibles.add(tuple(P))
+    irreducibles = sorted(irreducibles)
+    for n in (1, 2, 3):
+        g = [1]
+        for P in rng.sample(irreducibles, n):
+            g = raw_mul(S, g, list(P))
+        gt = raw_embed(S, T, g)
+        roots = _roots_of_split_product(S.order, T, gt)
+        assert len(roots) == n * r
+        assert roots == [c for c in range(T.order) if raw_eval(T, gt, c) == 0]
+        assert _roots_of_split_product(S.order, U, gt) == roots
+        f = raw_mul(S, g, raw_mul(S, g, list(irreducibles[0])))
+        want, residual = roots_with_multiplicity(Poly._raw(S, f), r)
+        assert raw_sqf_roots(S, raw_sqf_list(S, f), r) == (want, list(residual.c))
+        assert sum(e for _, e in want) == len(f) - 1
+
+
 def test_roots_mixed_degrees_partial_split():
     # exact degrees 2 and 3 need F_9 and F_27; no single extension of
     # degree <= 4 holds both, so the smaller-mass factor stays residual
