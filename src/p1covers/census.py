@@ -17,9 +17,10 @@ F_2). The other classes of a scanned class's orbit get their
 discriminant keys by substitution and share its tangent dimension.
 
 The scan works one g row at a time, and everything that depends on g
-alone is done once per census: a g row lies in every slice where its
-cell c2 is zero, and the slices of one scan task share a memo of g-row
-data (_g_row) that lives for that task. The discriminant
+alone is done once per scan task: a g row lies in every slice where
+its cell c2 is zero, and the slices of one task share a memo of g-row
+data (_g_row) that lives for that task. In one process the census is
+one task, so each g row is built once per census. The discriminant
 T_g(h) = h g' - g h' and the residues h mod P, for the monic irreducible
 factors P of g (a squarefree, distinct-degree and equal-degree split of
 g), are affine in the free cells of h. So each h row costs vector adds:
@@ -39,10 +40,9 @@ once per orbit of keys, on the first key the scan reached: a key
 reached from it by x -> ax has the same length structure, and its
 points are the first key's points times a^-1. The class total is
 checked against its closed form, from which Burnside gives the
-Frobenius orbit count. Enumeration can be partitioned across processes
-along the g-row prefixes the scan reaches; the slices left whole are
-one task, and the merge is a deterministic reduce keyed on the
-discriminant.
+Frobenius orbit count. Across processes each slice is its own task,
+and a large slice is split along the g-row prefixes the scan reaches;
+the merge is a deterministic reduce keyed on the discriminant.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def _g_starts(log, d, c2):
     return _orbit_starts(log, [-j for j in range(1, d + 1) if j != c2])
 
 
-def _admissible(S, d, c2, log, prefix=(), memo=None):
+def _admissible(S, d, c2, log, prefix, memo):
     """Raw (g, h, disc, s), one admissible echelon matrix with pivots at
     columns (0, c2) per orbit of the scaling x -> γ^k x; disc = h g' - g h'
     and s is the orbit size. `prefix` pins the first free cells of the g
@@ -156,8 +156,6 @@ def _admissible(S, d, c2, log, prefix=(), memo=None):
     free_h = list(range(c2 + 1, d + 1))
     if len(prefix) > len(free_g):
         raise InputError("prefix longer than the free cells of the g row")
-    if memo is None:
-        memo = {}
     head = tuple(prefix)
     n = 2 * d - 1
     h_rows = {}         # stabilizer step -> [(h, h cells, orbit size, first changed cell)]
@@ -493,7 +491,6 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
     total = _check_budget(spec, d, budget)
     if points is None:
         points = total <= POINTS_AUTO_LIMIT
-    whole = []          # slices scanned in one task, sharing their g rows
     tasks = []
     for c2 in range(1, d + 1):
         n_free_g = d - 1
@@ -502,9 +499,10 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
             k = 2 if q ** (n_free_g - 2) * q ** (d - c2) <= 200_000 else 3
             tasks.extend(_prefix_tasks(spec, d, c2, min(k, n_free_g), with_tangent))
         else:
-            whole.append((c2, ()))
-    if whole:
-        tasks.insert(0, (spec.p, spec.m, d, tuple(whole), with_tangent))
+            tasks.append((spec.p, spec.m, d, ((c2, ()),), with_tangent))
+    if processes == 1:
+        # one task over every slice, so that the slices share their g rows
+        tasks = [(spec.p, spec.m, d, tuple(sl for t in tasks for sl in t[3]), with_tangent)]
     table = {}
     if processes > 1 and len(tasks) > 1:
         import concurrent.futures

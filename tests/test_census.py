@@ -138,9 +138,22 @@ def test_census_deterministic_json():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_census_parallel_matches_sequential():
+def test_census_parallel_matches_sequential(monkeypatch):
+    # two processes must reach the pool: one task per slice, not the one
+    # shared task of a single process
+    import concurrent.futures
+    pools = []
+    pool_type = concurrent.futures.ProcessPoolExecutor
+
+    def recorded(*args, **kwargs):
+        pools.append(kwargs)
+        return pool_type(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
     seq = census_by_disc(F3, 4, points=False)
+    assert not pools
     par = census_by_disc(F3, 4, points=False, processes=2)
+    assert pools == [{"max_workers": 2}]
     assert json.dumps(seq.to_json(), sort_keys=True) == \
         json.dumps(par.to_json(), sort_keys=True)
 
@@ -376,7 +389,7 @@ def test_scaling_transversal_matches_full_scan(spec, d):
             rec[0] += 1
             dim = reference_tangent_dim(spec, g, h, d, disc)
             rec[1][dim] = rec[1].get(dim, 0) + 1
-        for g, h, disc, s in _admissible(spec, d, c2, log):
+        for g, h, disc, s in _admissible(spec, d, c2, log, (), {}):
             orbit_sizes += s
             expanded.extend(zip(orbit(exp, log, spec, g, s), orbit(exp, log, spec, h, s)))
     assert len(set(expanded)) == len(expanded)       # each class exactly once
