@@ -19,8 +19,10 @@ discriminant keys by substitution and share its tangent dimension.
 The scan works one g row at a time, and everything that depends on g
 alone is done once per scan task: a g row lies in every slice where
 its cell c2 is zero, and the slices of one task share a memo of g-row
-data (_g_row) that lives for that task. In one process the census is
-one task, so each g row is built once per census. The discriminant
+data (_g_row) that lives for that task. A census runs as n tasks, one
+per process; task i scans every slice and takes the g rows at positions
+i, i + n, i + 2n, ... of each. In one process n = 1, so each g row is
+built once per census. The discriminant
 T_g(h) = h g' - g h' and the residues h mod P, for the monic irreducible
 factors P of g (a squarefree, distinct-degree and equal-degree split of
 g), are affine in the free cells of h. So each h row costs vector adds:
@@ -36,13 +38,12 @@ Records group the classes by monic discriminant. Length multisets come
 from the squarefree structure, exact and extension-free; divisor points,
 the only part that may need an extension field, are materialized when
 cheap or requested, from the same squarefree split. Both are computed
-once per orbit of keys, on the first key the scan reached: a key
-reached from it by x -> ax has the same length structure, and its
-points are the first key's points times a^-1. The class total is
-checked against its closed form, from which Burnside gives the
-Frobenius orbit count. Across processes each slice is its own task,
-and a large slice is split along the g-row prefixes the scan reaches;
-the merge is a deterministic reduce keyed on the discriminant.
+once per orbit of keys, on its least key, the first key: a key reached
+from it by x -> ax has the same length structure, and its points are
+the first key's points times a^-1. The first key depends on the orbit
+alone, so the tasks' tables agree on it, and the merge only adds counts
+and dimensions. The class total is checked against its closed form,
+from which Burnside gives the Frobenius orbit count.
 """
 
 from __future__ import annotations
@@ -50,14 +51,14 @@ from __future__ import annotations
 import functools
 import gc
 import math
+import os
 from dataclasses import dataclass
 
 from .cover import Cover, Divisor, INF
 from .errors import BudgetExceeded, InputError
 from .field import FieldElement, FieldSpec, make_field
-from .poly import (Poly, raw_add, raw_axpy, raw_deriv, raw_factor_sqf, raw_kernel,
-                   raw_monic, raw_rank, raw_rem, raw_scale, raw_shift, raw_sqf_list,
-                   raw_sqf_roots, raw_trim)
+from .poly import (Poly, raw_T_columns, raw_axpy, raw_factor_sqf, raw_kernel, raw_monic,
+                   raw_rank, raw_rem, raw_sqf_list, raw_sqf_roots, raw_trim)
 
 DEFAULT_BUDGET = 2_000_000
 POINTS_AUTO_LIMIT = 50_000
@@ -133,12 +134,14 @@ def _g_starts(log, d, c2):
     return _orbit_starts(log, [-j for j in range(1, d + 1) if j != c2])
 
 
-def _admissible(S, d, c2, log, prefix, memo):
+def _admissible(S, d, c2, log, memo, part=0, parts=1):
     """Raw (g, h, disc, s), one admissible echelon matrix with pivots at
     columns (0, c2) per orbit of the scaling x -> γ^k x; disc = h g' - g h'
-    and s is the orbit size. `prefix` pins the first free cells of the g
-    row; `log` comes from _scaling; `memo` holds the _g_row data of the
-    g rows already seen, so slices that share a g row build it once.
+    and s is the orbit size. Only the g rows at positions part, part +
+    parts, part + 2 parts, ... of _g_starts are scanned, so the parts of
+    a split together scan the slice once. `log` comes from _scaling;
+    `memo` holds the _g_row data of the g rows already seen, so slices
+    that share a g row build it once.
 
     Column j holds the coefficient of x^(d-j). With the pivots put back
     to 1, the scaling multiplies g_j by γ^(-k j) and h_j by γ^(k (c2-j)),
@@ -154,14 +157,9 @@ def _admissible(S, d, c2, log, prefix, memo):
     """
     free_g = [j for j in range(1, d + 1) if j != c2]
     free_h = list(range(c2 + 1, d + 1))
-    if len(prefix) > len(free_g):
-        raise InputError("prefix longer than the free cells of the g row")
-    head = tuple(prefix)
     n = 2 * d - 1
     h_rows = {}         # stabilizer step -> [(h, h cells, orbit size, first changed cell)]
-    for gvals, sg in _g_starts(log, d, c2):
-        if gvals[:len(head)] != head:
-            continue
+    for gvals, sg in _g_starts(log, d, c2)[part::parts]:
         g = _row(d, 0, free_g, gvals)
         hs = h_rows.get(sg)
         if hs is None:
@@ -206,21 +204,14 @@ def _g_row(S, g, d, memo):
             blocks.append((lo, lo + len(P) - 1))
             lo += len(P) - 1
         rows = []
-        for e, row in enumerate(_t_columns(S, g, n)):
+        for e, col in enumerate(raw_T_columns(S, g, range(d))):
+            row = _padded(col, n)
             xe = [0] * e + [1]
             for P in factors:
                 row += _padded(raw_rem(S, xe, P), len(P) - 1)
             rows.append(row)
         out = memo[key] = [rows, blocks, None]
     return out
-
-
-def _t_columns(S, g, n):
-    """T_g(x^e) = x^e g' - e x^(e-1) g for e < deg g, as n coefficients each."""
-    gp = raw_deriv(S, g)
-    p = S.p
-    return [_padded(raw_add(S, raw_shift(gp, e), raw_scale(S, raw_shift(g, e - 1), -e % p)),
-                    n) for e in range(len(g) - 1)]
 
 
 def _padded(a, n):
@@ -254,7 +245,7 @@ def enumerate_covers(spec: FieldSpec, d: int, budget: int = DEFAULT_BUDGET):
     exp, log = _scaling(spec, d)
     memo = {}
     for c2 in range(1, d + 1):
-        for g, h, _, s in _admissible(spec, d, c2, log, (), memo):
+        for g, h, _, s in _admissible(spec, d, c2, log, memo):
             for gk, hk in zip(_images(exp, log, g, s), _images(exp, log, h, s)):
                 yield Cover(Poly._raw(spec, raw_monic(spec, gk)),
                             Poly._raw(spec, raw_monic(spec, hk)))
@@ -299,39 +290,42 @@ def _tangent_dim_raw(S, block, h):
 
 
 def _scan_chunk(args):
-    """Worker: scan enumeration slices into one table {disc: [count,
-    {dim: n}, link]}. args is (p, m, d, slices, with_tangent), and each
-    slice a pair (c2, prefix) for _admissible; the slices share one memo
-    of g-row data, which lives for this call.
+    """Worker: scan every slice, c2 = 1, ..., d in order, into one table
+    {disc: [count, {dim: n}, link]}. args is (p, m, d, part, parts,
+    with_tangent): within each slice the task scans the g rows at
+    positions part, part + parts, ... of _g_starts, and its slices share
+    one memo of g-row data, which lives for this call.
 
     Each scanned class gets one tangent rank, against its g row's
     _chart_block, built when the row changes; the other classes of its
     orbit get their keys by substituting x -> γ^k x into the discriminant
-    and share its dimension. link is None on the first key an orbit
-    reached, and (first key, k) on a key reached from it by γ^k, so that
-    link always names a key whose own link is None.
+    and share its dimension. The least of these keys is the orbit's first
+    key, with link None; every other key links to it as (first, j), j the
+    least exponent with monic(first(γ^j x)) = key. So a link depends on
+    its key alone, never on the scan order or the split into parts.
     """
-    p, m, d, slices, with_tangent = args
+    p, m, d, part, parts, with_tangent = args
     S = make_field(p, m)
     exp, log = _scaling(S, d)
-    n = S.order - 1
     table = {}
     memo = {}
-    for c2, prefix in slices:
+    for c2 in range(1, d + 1):
         row = block = dim = None
-        for g, h, disc, s in _admissible(S, d, c2, log, prefix, memo):
+        for g, h, disc, s in _admissible(S, d, c2, log, memo, part, parts):
             if with_tangent:
                 if g is not row:
                     row, block = g, _chart_block(S, g, d, d - c2, memo)
                 dim = _tangent_dim_raw(S, block, h)
-            for k, img in enumerate(_images(exp, log, disc, s)):
-                key = tuple(raw_monic(S, img))
+            keys = [tuple(raw_monic(S, img)) for img in _images(exp, log, disc, s)]
+            first = min(keys)
+            k0 = keys.index(first)
+            period = s // keys.count(first)         # size of the orbit of keys
+            for k, key in enumerate(keys):
                 rec = table.get(key)
-                if not k:
-                    first, base = (key, 0) if rec is None or rec[2] is None else rec[2]
                 if rec is None:
+                    j = (k - k0) % period
                     table[key] = [1, {dim: 1} if with_tangent else {},
-                                  (first, (base + k) % n) if k else None]
+                                  (first, j) if j else None]
                 else:
                     rec[0] += 1
                     if with_tangent:
@@ -341,7 +335,8 @@ def _scan_chunk(args):
 
 
 def _merge_tables(dst, src):
-    """Add the records of src, which is used up, into dst."""
+    """Add the records of src, which is used up, into dst; a link depends
+    on its key alone, so both tables hold the same one."""
     if not dst:
         dst.update(src)
         return dst
@@ -350,12 +345,10 @@ def _merge_tables(dst, src):
         if rec is None:
             dst[key] = new
         else:
-            count, dims, link = new
-            rec[0] += count
-            for dim, n in dims.items():
-                rec[1][dim] = rec[1].get(dim, 0) + n
-            if link is None:        # links name first keys: keep them first
-                rec[2] = None
+            rec[0] += new[0]
+            dims = rec[1]
+            for dim, n in new[1].items():
+                dims[dim] = dims.get(dim, 0) + n
     return dst
 
 
@@ -448,14 +441,6 @@ def _length_structure(S, disc_key, d, memo):
     return out
 
 
-def _prefix_tasks(spec, d, c2, k, with_tangent):
-    """Scan tasks for the slice with pivots (0, c2), one per length-k
-    prefix of the g row that the scan reaches, in scan order."""
-    _, log = _scaling(spec, d)
-    prefixes = dict.fromkeys(vals[:k] for vals, _ in _g_starts(log, d, c2))
-    return [(spec.p, spec.m, d, ((c2, prefix),), with_tangent) for prefix in prefixes]
-
-
 def _gc_paused(fn):
     """Run fn with the cyclic garbage collector paused. A census allocates
     hundreds of thousands of containers that form no cycles, and the
@@ -482,36 +467,28 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
 
     points=None materializes divisor points only when the run is small
     (raw plane count <= POINTS_AUTO_LIMIT); pass True/False to force.
+    The scan runs in min(processes, CPU count) processes, and its output
+    does not depend on that number.
     """
     if d < 1:
         raise InputError("census degree must be at least 1")
     if processes < 1:
         raise InputError("a census needs at least one process")
-    q = spec.order
     total = _check_budget(spec, d, budget)
     if points is None:
         points = total <= POINTS_AUTO_LIMIT
-    tasks = []
-    for c2 in range(1, d + 1):
-        n_free_g = d - 1
-        n_covers = q ** (n_free_g + (d - c2))
-        if processes > 1 and n_covers > 200_000:
-            k = 2 if q ** (n_free_g - 2) * q ** (d - c2) <= 200_000 else 3
-            tasks.extend(_prefix_tasks(spec, d, c2, min(k, n_free_g), with_tangent))
-        else:
-            tasks.append((spec.p, spec.m, d, ((c2, ()),), with_tangent))
-    if processes == 1:
-        # one task over every slice, so that the slices share their g rows
-        tasks = [(spec.p, spec.m, d, tuple(sl for t in tasks for sl in t[3]), with_tangent)]
+    # the same parts in every slice; one part in one process keeps the
+    # scan order of a whole census
+    parts = min(processes, os.cpu_count() or 1)
+    tasks = [(spec.p, spec.m, d, i, parts, with_tangent) for i in range(parts)]
     table = {}
-    if processes > 1 and len(tasks) > 1:
+    if parts > 1:
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
-            for part in pool.map(_scan_chunk, tasks, chunksize=1):
+        with concurrent.futures.ProcessPoolExecutor(max_workers=parts) as pool:
+            for part in pool.map(_scan_chunk, tasks):
                 _merge_tables(table, part)
     else:
-        for t in tasks:
-            _merge_tables(table, _scan_chunk(t))
+        _merge_tables(table, _scan_chunk(tasks[0]))
     # a key and its orbit's first key share the length structure; the
     # first key's divisor points, times γ^-k, are the key's own
     exp = _scaling(spec, d)[0] if points else None

@@ -100,7 +100,8 @@ def build_parser():
     sp.add_argument("--orbits", action="store_true",
                     help="also count Frobenius orbits of classes (closed form)")
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker processes for census enumeration")
+                    help="worker processes for census enumeration, at most the "
+                         "CPU count; the output is the same for every count")
     _add_common(sp)
     _add_max_ext(sp)
     return ap

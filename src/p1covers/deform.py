@@ -24,9 +24,9 @@ from itertools import product
 from .cover import NormalizedCover
 from .errors import BudgetExceeded, InputError
 from .field import FieldElement, FieldSpec
-from .poly import (FieldMatrix, Poly, polymat_kernel, raw_T, raw_add, raw_deriv,
-                   raw_embed, raw_kernel, raw_mul, raw_quo_exact, raw_rref,
-                   raw_scale, raw_shift, raw_sub, raw_trim)
+from .poly import (FieldMatrix, Poly, polymat_kernel, raw_T, raw_T_columns, raw_add,
+                   raw_embed, raw_kernel, raw_mul, raw_neg, raw_quo_exact, raw_rref,
+                   raw_scale, raw_sub, raw_trim)
 
 BRUTE_FORCE_LIMIT = 10 ** 7
 
@@ -70,16 +70,8 @@ class TangentSystem:
 def _tangent_columns_raw(S, g, h, exps):
     """Columns of the map (g1, h1) -> T_g(h1) - T_h(g1), with g1 and then
     h1 running over the monomials x^j, j in exps."""
-    gp = raw_deriv(S, g)
-    hp = raw_deriv(S, h)
-    cols = []
-    for j in exps:  # g1 = x^j contributes -T_h(x^j) = j x^(j-1) h - x^j h'
-        a = raw_scale(S, raw_shift(h, j - 1), j % S.p) if j else []
-        cols.append(raw_sub(S, a, raw_shift(hp, j)))
-    for j in exps:  # h1 = x^j contributes T_g(x^j) = x^j g' - j x^(j-1) g
-        b = raw_scale(S, raw_shift(g, j - 1), j % S.p) if j else []
-        cols.append(raw_sub(S, raw_shift(gp, j), b))
-    return cols
+    return ([raw_neg(S, col) for col in raw_T_columns(S, h, exps)]
+            + raw_T_columns(S, g, exps))
 
 
 def _columns_to_rows(cols, nrows):

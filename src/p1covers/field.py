@@ -33,8 +33,9 @@ first, and tests each candidate with Rabin's test over F_p. Untabled
 inversion is extended Euclid against the modulus over F_p. Embeddings
 between fields send the source generator to the least root of the source
 modulus in the target: one root comes from splitting the modulus there
-(`poly._split_root`), and the others are its Frobenius conjugates. So
-embeddings are deterministic too.
+(`poly._split_root`, whose splitters skip the prime field: they take one
+value on the whole orbit), and the others are its Frobenius conjugates.
+So embeddings are deterministic too.
 """
 
 from __future__ import annotations
@@ -405,9 +406,10 @@ class FieldSpec:
         if img is not None:
             return img
         # the roots of the source modulus are one root's Frobenius
-        # conjugates; F_p coefficients double as codes here
+        # conjugates over F_p, so the split skips F_p's codes 0..p-1;
+        # F_p coefficients double as codes here
         from .poly import _split_root
-        r = _split_root(self, list(source.modulus))
+        r = _split_root(self, list(source.modulus), _make_field_cached(self.p, 1))
         conj = []
         for _ in range(source.m):
             conj.append(r)

@@ -20,7 +20,8 @@ extraction works one Frobenius orbit at a time: it takes one root of each
 orbit and divides the whole orbit out. In a field with lookup tables that
 root comes from a scan of the codes that resumes where the last one
 stopped, above the table limit from the degree-1 case of the equal-degree
-split. `raw_sqf_roots` does it from a squarefree list that the caller
+split, whose splitters skip the base field's image: they take one value on
+a whole orbit. `raw_sqf_roots` does it from a squarefree list that the caller
 already has; `roots_with_multiplicity` is its `Poly` wrapper. Matrix
 ranks over the rational function field k(X) use fraction-free elimination
 so no general rational-function type is ever needed.
@@ -162,6 +163,15 @@ def raw_T(S, f, q):
     return raw_sub(S, raw_mul(S, q, raw_deriv(S, f)), raw_mul(S, f, raw_deriv(S, q)))
 
 
+def raw_T_columns(S, f, exps):
+    """T_f(x^e) = x^e f' - e x^(e-1) f for each e in exps: the images of
+    the monomials under the linear map q -> T_f(q)."""
+    fp = raw_deriv(S, f)
+    p = S.p
+    return [raw_sub(S, raw_shift(fp, e), raw_scale(S, raw_shift(f, e - 1), e % p) if e else [])
+            for e in exps]
+
+
 def raw_eval(S, a, x):
     mt, at, q = S._mul_t, S._add_t, S.order
     acc = 0
@@ -293,14 +303,16 @@ def raw_ddf(S, f, cap=None):
                 b = raw_rem(S, b, rem)
 
 
-def _splitters(S, h, k):
+def _splitters(S, h, k, skip=()):
     """Cantor-Zassenhaus splitters of h, a monic product of distinct
     irreducibles of degree k, in a fixed order. For odd p the splitter of
     a is a^((q^k-1)/2) - 1, with a = x + c for c = 0, 1, ... and then the
     monic polynomials of each higher degree; for p = 2 it is the trace
     a + a^2 + ... + a^(2^(mk-1)), with a = b x for b = 1, 2, ... and then
     b x^t plus lower terms without a constant. Every proper split of h
-    is reached by some a of degree below deg h."""
+    is reached by some a of degree below deg h. The codes in skip are
+    left out as c or b of degree 1: _split_root skips a subfield's image
+    there, whose candidates cannot split one orbit over that subfield."""
     q = S.order
 
     def lows(t):                # all coefficient lists of length t, lazily
@@ -311,16 +323,18 @@ def _splitters(S, h, k):
         if S.p != 2:
             e = (q ** k - 1) // 2
             for low in lows(t):
-                yield raw_sub(S, raw_pow_mod(S, [*low, 1], e, h), [1])
+                if t > 1 or low[0] not in skip:
+                    yield raw_sub(S, raw_pow_mod(S, [*low, 1], e, h), [1])
         else:
             for b in range(1, q):
-                for low in lows(t - 1):
-                    yield _trace_mod(S, [0, *low, b], h, S.m * k)
+                if t > 1 or b not in skip:
+                    for low in lows(t - 1):
+                        yield _trace_mod(S, [0, *low, b], h, S.m * k)
 
 
-def _split_once(S, h, k):
+def _split_once(S, h, k, skip=()):
     """The first proper monic factor gcd(splitter, h) in _splitters' order."""
-    for s in _splitters(S, h, k):
+    for s in _splitters(S, h, k, skip):
         g = raw_gcd(S, s, h)
         if 1 < len(g) < len(h):
             return g
@@ -350,15 +364,21 @@ def raw_factor_sqf(S, f):
     return [fac for piece, k in pieces for fac in raw_edf(S, piece, k)]
 
 
-def _split_root(S, f):
+def _split_root(S, f, base=None):
     """One root of f, which must split into distinct linear factors over S:
     the degree-1 case of the equal-degree split, keeping the smaller half
     of each split. The caller canonicalizes via Galois conjugates, so
     which root comes out does not matter.
+
+    base, a proper subfield of S, says that f is a product of Frobenius
+    orbits over it. A splitter of x + c, or of b x when p = 2, with c or
+    b in base takes one value on a whole orbit, so the image of base is
+    skipped among the degree-1 candidates.
     """
+    skip = {S.embed_code(c, base) for c in range(base.order)} if base is not None else ()
     h = raw_monic(S, f)
     while len(h) > 2:
-        g = _split_once(S, h, 1)
+        g = _split_once(S, h, 1, skip)
         h = g if len(g) - 1 <= (len(h) - 1) // 2 else raw_quo_exact(S, h, g)
     return S.neg(h[0])
 
@@ -372,15 +392,15 @@ def _trace_mod(S, a, h, terms):
     return acc
 
 
-def _roots_of_split_product(base_order, sub: FieldSpec, g):
+def _roots_of_split_product(S, sub: FieldSpec, g):
     """All roots in `sub`, sorted, of g, a product of distinct
-    base-irreducibles that split there, one Frobenius orbit at a time: a
-    root's orbit under c -> c^base_order is the roots of its irreducible
-    factor, and is divided out. In a field with tables a root comes from
-    scanning the codes upward from where the last scan stopped, above it
-    from _split_root. The scan tries no splitters, which waste work once
-    h is a single orbit: over a prime base field a splitter of x + c,
-    c in F_p, takes one value on a whole orbit."""
+    S-irreducibles that split there, one Frobenius orbit at a time: a
+    root's orbit under c -> c^|S| is the roots of its irreducible factor,
+    and is divided out. In a field with tables a root comes from scanning
+    the codes upward from where the last scan stopped, above it from
+    _split_root. The scan tries no splitters, which waste work once h is
+    a single orbit; the split skips the splitters from S, which cannot
+    split an orbit, when sub is a proper extension of S."""
     roots = []
     h = raw_monic(sub, g)
     c = 0
@@ -392,12 +412,12 @@ def _roots_of_split_product(base_order, sub: FieldSpec, g):
                 c += 1
             r0 = c
         else:
-            r0 = _split_root(sub, h)
+            r0 = _split_root(sub, h, S if sub.m > S.m else None)
         x = r0
         while True:
             h = raw_quo_exact(sub, h, [sub.neg(x), 1])
             roots.append(x)
-            x = sub.pow_code(x, base_order)
+            x = sub.pow_code(x, S.order)
             if x == r0:
                 break
     return sorted(roots)
@@ -463,7 +483,7 @@ def raw_sqf_roots(S, sqf, max_ext):
             continue
         sub = make_field(S.p, S.m * r) if r > 1 else S
         gr = raw_embed(S, sub, g)
-        codes = _roots_of_split_product(S.order, sub, gr)
+        codes = _roots_of_split_product(S, sub, gr)
         if len(codes) != len(g) - 1:
             raise ArithmeticError("root extraction lost roots of a split factor")
         twist = _embedding_twist(S, sub, target)

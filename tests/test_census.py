@@ -10,8 +10,8 @@ from p1covers import (BudgetExceeded, Cover, InputError, Mobius, Poly,
                       census_by_disc, enumerate_covers, make_field, raw_plane_count,
                       verify_theorem_char23)
 from p1covers.census import (_admissible, _chart_block, _class_total, _images,
-                             _materialize_divisor, _merge_tables, _prefix_tasks,
-                             _scaling, _scan_chunk, _tangent_dim_raw)
+                             _materialize_divisor, _merge_tables, _scaling, _scan_chunk,
+                             _tangent_dim_raw)
 from p1covers.deform import _columns_to_rows, _tangent_columns_raw
 from p1covers.field import FieldElement
 from p1covers.poly import (raw_deriv, raw_gcd, raw_monic, raw_mul, raw_rank, raw_rref,
@@ -139,9 +139,10 @@ def test_census_deterministic_json():
 
 
 def test_census_parallel_matches_sequential(monkeypatch):
-    # two processes must reach the pool: one task per slice, not the one
-    # shared task of a single process
+    # two processes must reach the pool, also on a machine with one CPU
     import concurrent.futures
+    import os
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     pools = []
     pool_type = concurrent.futures.ProcessPoolExecutor
 
@@ -156,6 +157,36 @@ def test_census_parallel_matches_sequential(monkeypatch):
     assert pools == [{"max_workers": 2}]
     assert json.dumps(seq.to_json(), sort_keys=True) == \
         json.dumps(par.to_json(), sort_keys=True)
+
+
+def test_census_workers_bounded_by_cpu_count(monkeypatch):
+    # a huge process count asks for no more workers than CPUs; the fake
+    # pool runs its tasks in this process, so no real pool is started
+    import concurrent.futures
+    import os
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, **kwargs):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    many = census_by_disc(F3, 3, processes=10 ** 6)
+    assert pools == [2]
+    one = census_by_disc(F3, 3)
+    assert pools == [2]
+    assert json.dumps(many.to_json(), sort_keys=True) == \
+        json.dumps(one.to_json(), sort_keys=True)
 
 
 def test_census_budget():
@@ -375,6 +406,22 @@ def counts_and_dims(table):
     return {key: [rec[0], rec[1]] for key, rec in table.items()}
 
 
+def assert_links_canonical(spec, d, table):
+    # a link names the least key of its orbit, whose own link is None, and
+    # the least scaling that reaches the key from it
+    exp, log = _scaling(spec, d)
+    n = spec.order - 1
+    for key, (_, _, link) in table.items():
+        keys = orbit(exp, log, spec, key, n) if n > 1 else [key]
+        if link is None:
+            assert key == min(keys)
+        else:
+            first, k = link
+            assert first == min(keys) and table[first][2] is None
+            assert orbit(exp, log, spec, first, k + 1)[k] == key
+            assert key not in orbit(exp, log, spec, first, k)
+
+
 @pytest.mark.parametrize("spec,d", [(spec, d) for spec in (F3, F4, F5, F7, F8, F9)
                                     for d in (1, 2, 3)] + [(F4, 4), (F5, 4)])
 def test_scaling_transversal_matches_full_scan(spec, d):
@@ -389,22 +436,15 @@ def test_scaling_transversal_matches_full_scan(spec, d):
             rec[0] += 1
             dim = reference_tangent_dim(spec, g, h, d, disc)
             rec[1][dim] = rec[1].get(dim, 0) + 1
-        for g, h, disc, s in _admissible(spec, d, c2, log, (), {}):
+        for g, h, disc, s in _admissible(spec, d, c2, log, {}):
             orbit_sizes += s
             expanded.extend(zip(orbit(exp, log, spec, g, s), orbit(exp, log, spec, h, s)))
     assert len(set(expanded)) == len(expanded)       # each class exactly once
     assert set(expanded) == set(reference)
     assert orbit_sizes == len(reference) == _class_total(spec.p, spec.m, d)
-    table = {}
-    for c2 in range(1, d + 1):
-        _merge_tables(table, _scan_chunk((spec.p, spec.m, d, ((c2, ()),), True)))
+    table = _scan_chunk((spec.p, spec.m, d, 0, 1, True))
     assert counts_and_dims(table) == ref_table
-    # a link names its orbit's first key and the scaling that reaches the key
-    for key, (_, _, link) in table.items():
-        if link is not None:
-            first, k = link
-            assert table[first][2] is None
-            assert orbit(exp, log, spec, first, k + 1)[k] == key
+    assert_links_canonical(spec, d, table)
 
 
 @pytest.mark.parametrize("spec,max_d", [(F2, 6), (F3, 4)])
@@ -416,7 +456,7 @@ def test_tangent_block_matches_full_system(spec, max_d):
         _, log = _scaling(spec, d)
         memo = {}                   # g rows shared across the slices
         for c2 in range(1, d + 1):
-            for g, h, disc, _ in _admissible(spec, d, c2, log, (), memo):
+            for g, h, disc, _ in _admissible(spec, d, c2, log, memo):
                 block = _chart_block(spec, g, d, d - c2, memo)
                 if block[1] < d:
                     low_rank.add(tuple(g))
@@ -426,23 +466,35 @@ def test_tangent_block_matches_full_system(spec, max_d):
     assert (0, 0, 1, 0, 1) in low_rank if spec is F2 else (0, 0, 0, 1) in low_rank
 
 
-@pytest.mark.parametrize("spec,d", [(F2, 6), (F3, 4), (F4, 3), (F9, 3)])
-def test_shared_scan_matches_per_slice_scans(spec, d):
-    # one task over every slice shares its g rows and its table: the same
-    # counts and dimensions as scanning each slice alone, and its links
-    # still name first keys
-    slices = tuple((c2, ()) for c2 in range(1, d + 1))
-    shared = _scan_chunk((spec.p, spec.m, d, slices, True))
-    merged = {}
-    for sl in slices:
-        _merge_tables(merged, _scan_chunk((spec.p, spec.m, d, (sl,), True)))
-    assert counts_and_dims(shared) == counts_and_dims(merged)
+@pytest.mark.parametrize("spec,d", [(F2, 6), (F3, 4), (F4, 4), (F9, 3)])
+def test_scan_parts_merge_to_one_scan(spec, d):
+    # the parts of a split each take every parts-th g row of each slice:
+    # merged, they give the one-part table, links included, and each part
+    # does only some of the work
+    whole = _scan_chunk((spec.p, spec.m, d, 0, 1, True))
+    total = _class_total(spec.p, spec.m, d)
+    assert sum(rec[0] for rec in whole.values()) == total
+    assert_links_canonical(spec, d, whole)
+    for parts in (2, 3, 4):
+        merged = {}
+        for part in range(parts):
+            table = _scan_chunk((spec.p, spec.m, d, part, parts, True))
+            assert sum(rec[0] for rec in table.values()) < total
+            _merge_tables(merged, table)
+        assert merged == whole
+    # the slices of one task share their g rows and their table: the same
+    # counts and dimensions as scanning each slice alone with its own memo
     exp, log = _scaling(spec, d)
-    for key, (_, _, link) in shared.items():
-        if link is not None:
-            first, k = link
-            assert shared[first][2] is None
-            assert orbit(exp, log, spec, first, k + 1)[k] == key
+    alone = {}
+    for c2 in range(1, d + 1):
+        memo = {}
+        for g, h, disc, s in _admissible(spec, d, c2, log, memo):
+            dim = _tangent_dim_raw(spec, _chart_block(spec, g, d, d - c2, memo), h)
+            for key in orbit(exp, log, spec, disc, s):
+                rec = alone.setdefault(key, [0, {}])
+                rec[0] += 1
+                rec[1][dim] = rec[1].get(dim, 0) + 1
+    assert counts_and_dims(whole) == alone
 
 
 @pytest.mark.parametrize("spec,d,visits,distinct", [(F2, 6, 192, 63), (F3, 4, 66, 37)])
@@ -461,17 +513,17 @@ def test_g_row_work_once_per_census(spec, d, visits, distinct, monkeypatch):
     assert (len(scanned), len(rows)) == (visits, distinct)
     n_factored = sum(len(raw_sqf_list(spec, list(g))) for g in rows)
     columns, factored = [], []
-    t_columns, factor_sqf = census_mod._t_columns, census_mod.raw_factor_sqf
+    t_columns, factor_sqf = census_mod.raw_T_columns, census_mod.raw_factor_sqf
 
-    def counted_columns(S, g, n):
+    def counted_columns(S, g, exps):
         columns.append(tuple(g))
-        return t_columns(S, g, n)
+        return t_columns(S, g, exps)
 
     def counted_factor(S, f):
         factored.append(tuple(f))
         return factor_sqf(S, f)
 
-    monkeypatch.setattr(census_mod, "_t_columns", counted_columns)
+    monkeypatch.setattr(census_mod, "raw_T_columns", counted_columns)
     monkeypatch.setattr(census_mod, "raw_factor_sqf", counted_factor)
     for _ in range(2):
         columns.clear()
@@ -479,19 +531,6 @@ def test_g_row_work_once_per_census(spec, d, visits, distinct, monkeypatch):
         census_by_disc(spec, d, points=True)
         assert sorted(columns) == sorted(rows)
         assert len(factored) == n_factored
-
-
-@pytest.mark.parametrize("spec,d", [(F4, 4), (F9, 3)])
-def test_prefix_tasks_split_the_slice(spec, d):
-    for c2 in range(1, d + 1):
-        whole = _scan_chunk((spec.p, spec.m, d, ((c2, ()),), True))
-        for k in range(1, d):
-            tasks = _prefix_tasks(spec, d, c2, k, True)
-            assert len(tasks) < spec.order ** k     # unreachable prefixes dropped
-            merged = {}
-            for task in tasks:
-                _merge_tables(merged, _scan_chunk(task))
-            assert counts_and_dims(merged) == counts_and_dims(whole)
 
 
 # F_9 d = 3 stops at F_{9^3}, the largest tabled extension, to keep root

@@ -374,6 +374,49 @@ def test_raw_layer_agrees_without_tables(p, m, monkeypatch):
         assert raw_kernel(S, rows, ncols) == raw_kernel(T, rows, ncols)
 
 
+@pytest.mark.parametrize("p,m,r", [(13, 1, 3), (2, 1, 12), (5, 2, 3)])
+def test_split_skips_base_field_candidates(p, m, r, monkeypatch):
+    # one Frobenius orbit over F_{p^m}, the roots of an irreducible of
+    # degree r, in the untabled F_{p^(m r)}: no degree-1 splitter candidate
+    # from the base field's image is tried, since it takes one value on
+    # the whole orbit, and the roots still all come out
+    from p1covers import poly
+    S, T = make_field(p, m), make_field(p, m * r)
+    assert S.tabled and not T.tabled
+    if m == 1:
+        P = list(T.modulus)
+    else:
+        rng = random.Random(p * m * r)
+        P = []
+        while not (P and poly.raw_factor_sqf(S, P) == [P]):
+            P = [rng.randrange(S.order) for _ in range(r)] + [1]
+    base = {T.embed_code(c, S) for c in range(S.order)}
+    tried = []
+    pow_mod, trace_mod = poly.raw_pow_mod, poly._trace_mod
+
+    def recorded_pow(F, a, e, mod):
+        tried.append(list(a))
+        return pow_mod(F, a, e, mod)
+
+    def recorded_trace(F, a, h, terms):
+        tried.append(list(a))
+        return trace_mod(F, a, h, terms)
+
+    monkeypatch.setattr(poly, "raw_pow_mod", recorded_pow)
+    monkeypatch.setattr(poly, "_trace_mod", recorded_trace)
+    Pt = poly.raw_embed(S, T, P)
+    roots = poly._roots_of_split_product(S, T, Pt)
+    assert tried                                    # the split path ran
+    linear = [a for a in tried if len(a) == 2]
+    assert linear
+    assert not [a for a in linear if (a[1] if p == 2 else a[0]) in base]
+    assert len(roots) == r and all(poly.raw_eval(T, Pt, c) == 0 for c in roots)
+    # roots in the base field itself: nothing is skipped, and the split works
+    f = poly.raw_mul(T, [T.neg(5), 1], [T.neg(1234), 1])
+    assert poly._roots_of_split_product(T, T, f) == [5, 1234]
+    assert poly._split_root(T, f) in (5, 1234)
+
+
 @pytest.mark.parametrize("p,m,r", [(3, 1, 5), (2, 1, 8), (2, 2, 4), (7, 1, 3), (2, 3, 3),
                                    (5, 1, 4), (5, 2, 2), (3, 1, 6), (3, 2, 3)])
 def test_split_product_roots_scan_and_split_agree(p, m, r, monkeypatch):
@@ -402,10 +445,10 @@ def test_split_product_roots_scan_and_split_agree(p, m, r, monkeypatch):
         for P in rng.sample(irreducibles, n):
             g = raw_mul(S, g, list(P))
         gt = raw_embed(S, T, g)
-        roots = _roots_of_split_product(S.order, T, gt)
+        roots = _roots_of_split_product(S, T, gt)
         assert len(roots) == n * r
         assert roots == [c for c in range(T.order) if raw_eval(T, gt, c) == 0]
-        assert _roots_of_split_product(S.order, U, gt) == roots
+        assert _roots_of_split_product(S, U, gt) == roots
         f = raw_mul(S, g, raw_mul(S, g, list(irreducibles[0])))
         want, residual = roots_with_multiplicity(Poly._raw(S, f), r)
         assert raw_sqf_roots(S, raw_sqf_list(S, f), r) == (want, list(residual.c))
