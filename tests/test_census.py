@@ -482,8 +482,14 @@ def test_scan_parts_merge_to_one_scan(spec, d):
             assert sum(rec[0] for rec in table.values()) < total
             _merge_tables(merged, table)
         assert merged == whole
+
+
+@pytest.mark.parametrize("spec,d", [(F2, 6), (F3, 4), (F4, 3), (F9, 3)])
+def test_shared_scan_matches_per_slice_scans(spec, d):
     # the slices of one task share their g rows and their table: the same
-    # counts and dimensions as scanning each slice alone with its own memo
+    # counts and dimensions as scanning each slice alone with its own memo,
+    # and its links still name first keys
+    shared = _scan_chunk((spec.p, spec.m, d, 0, 1, True))
     exp, log = _scaling(spec, d)
     alone = {}
     for c2 in range(1, d + 1):
@@ -494,7 +500,28 @@ def test_scan_parts_merge_to_one_scan(spec, d):
                 rec = alone.setdefault(key, [0, {}])
                 rec[0] += 1
                 rec[1][dim] = rec[1].get(dim, 0) + 1
-    assert counts_and_dims(whole) == alone
+    assert counts_and_dims(shared) == alone
+    assert_links_canonical(spec, d, shared)
+
+
+@pytest.mark.parametrize("spec,d", [(F4, 4), (F9, 3)])
+def test_prefix_tasks_split_the_slice(spec, d):
+    # within one slice, the parts of a split take disjoint shares of its g
+    # rows, and together they yield exactly the slice's classes
+    _, log = _scaling(spec, d)
+    for c2 in range(1, d + 1):
+        def classes(part, parts):
+            return [(tuple(g), tuple(h), tuple(disc), s)
+                    for g, h, disc, s in _admissible(spec, d, c2, log, {}, part, parts)]
+        whole = classes(0, 1)
+        n_rows = len({cls[0] for cls in whole})
+        for parts in (2, 3, 4):
+            split = [classes(part, parts) for part in range(parts)]
+            rows = [{cls[0] for cls in share} for share in split]
+            assert sum(map(len, rows)) == n_rows        # no g row in two parts
+            if n_rows >= parts:
+                assert all(len(share) < len(whole) for share in split)
+            assert sorted(cls for share in split for cls in share) == sorted(whole)
 
 
 @pytest.mark.parametrize("spec,d,visits,distinct", [(F2, 6, 192, 63), (F3, 4, 66, 37)])
