@@ -474,6 +474,8 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
         raise InputError("census degree must be at least 1")
     if processes < 1:
         raise InputError("a census needs at least one process")
+    if max_ext < 1:
+        raise InputError("max_ext must be at least 1")
     total = _check_budget(spec, d, budget)
     if points is None:
         points = total <= POINTS_AUTO_LIMIT

@@ -18,7 +18,7 @@ import sys
 from .cartier import image_T, kernel_T, operator_matrix
 from .census import census_by_disc, tame_violations
 from .cover import Cover
-from .deform import brute_force_tangent, lift_deformation, tangent_dim
+from .deform import brute_force_tangent, check_lift_order, lift_deformation, tangent_dim
 from .errors import BudgetExceeded, InputError, SplitBoundExceeded
 from .family import osserman_family, power_family, verify_family, wild_family
 from .field import FieldElement, make_field
@@ -194,6 +194,10 @@ def _cmd_cartier(args):
 
 
 def _cmd_tangent(args):
+    if args.order is not None:
+        if args.variant != "xd":
+            raise InputError("lifting is defined for the fixed-discriminant variant only")
+        check_lift_order(args.order)
     spec = _field(args)
     cov = Cover.parse(args.cover, spec)
     nc = cov.normalize(args.max_ext)
@@ -209,8 +213,6 @@ def _cmd_tangent(args):
         payload["oracle"] = oracle
         payload["oracle_agrees"] = oracle == dim
     if args.order is not None:
-        if args.variant != "xd":
-            raise InputError("lifting is defined for the fixed-discriminant variant only")
         lifts = [lift_deformation(nc, v, args.order) for v in basis]
         payload["lifts"] = [lr.to_json() for lr in lifts]
         obstructions = [lr.obstructed_at for lr in lifts if lr.obstructed_at is not None]

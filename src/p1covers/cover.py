@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, SplitBoundExceeded
-from .field import FieldElement, FieldSpec, make_field
+from .field import FieldElement, FieldSpec, _split_top, make_field
 from .poly import (Poly, raw_T, raw_add, raw_divrem, raw_embed, raw_eval,
                    raw_gcd, raw_mobius_substitute, raw_monic, raw_rref,
                    raw_scale, raw_sqf_list, roots_with_multiplicity)
@@ -286,6 +286,8 @@ class Cover:
     def differential_lengths(self, max_ext: int = 4) -> Divisor:
         """Branch divisor: multiplicities of disc roots plus the mass
         (2d-2) - deg disc at infinity."""
+        if max_ext < 1:
+            raise InputError("max_ext must be at least 1")
         disc = self.discriminant()
         l_inf = (2 * self.d - 2) - disc.degree()
         pairs = []
@@ -410,21 +412,10 @@ class Cover:
 
     @classmethod
     def parse(cls, text: str, spec: FieldSpec) -> "Cover":
-        depth = 0
-        cut = None
-        for i, ch in enumerate(text):
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == "/" and depth == 0:
-                if cut is not None:
-                    raise InputError(f"more than one '/' in cover {text!r}")
-                cut = i
-        if cut is None:
-            g_text, h_text = text, "1"
-        else:
-            g_text, h_text = text[:cut], text[cut + 1:]
+        g_text, *rest = _split_top(text, "/")
+        if len(rest) > 1:
+            raise InputError(f"more than one '/' in cover {text!r}")
+        h_text = rest[0][1:] if rest else "1"
         return cls(Poly.parse(g_text, spec), Poly.parse(h_text, spec))
 
     def __str__(self):

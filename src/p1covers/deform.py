@@ -220,6 +220,11 @@ class LiftResult:
         }
 
 
+def check_lift_order(order: int) -> None:
+    if not 2 <= order <= 8:
+        raise InputError("lift order must lie in 2..8")
+
+
 def lift_deformation(nc: NormalizedCover, v: DeformationVector, order: int) -> LiftResult:
     """Extend a first-order xd solution to k[t]/(t^order), order <= 8.
 
@@ -228,8 +233,7 @@ def lift_deformation(nc: NormalizedCover, v: DeformationVector, order: int) -> L
     corrections (g_r, h_r) for r = 1..order-1, or the first obstructed
     order with its residual.
     """
-    if not 2 <= order <= 8:
-        raise InputError("lift order must lie in 2..8")
+    check_lift_order(order)
     cov = nc.cover
     S = cov.spec
     d = cov.d

@@ -91,6 +91,8 @@ def wild_family(c: Cover, max_ext: int = 4) -> Family:
 
     Only the wild part of the discriminant needs to split: points of
     length below p never have to be located."""
+    if max_ext < 1:
+        raise InputError("max_ext must be at least 1")
     p = c.spec.p
     disc = c.discriminant()
     l_inf = (2 * c.d - 2) - disc.degree()

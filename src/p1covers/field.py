@@ -21,9 +21,22 @@ neg and inv) computes the entry. So `FieldSpec`'s ops and `poly`'s raw
 layer index one way; only this module decides which kind a field has,
 and `FieldSpec.tabled` reports it to the one caller that chooses by it,
 root finding, which scans the codes of a tabled field. Computed
-products use packed-integer arithmetic (up to 2^20 elements, with digit
-and packing caches built from `itertools.product`) or digit-vector
-arithmetic, both with precomputed modular reduction rows.
+products are packed-integer products for every untabled field: each
+operand's digits packed into one int, one int multiply, and reduction by
+precomputed packed rows. Up to 2^20 elements the digits and packings
+come from caches built with `itertools.product`; above, each operand is
+packed when it is multiplied.
+
+Text is read by one term reader (`_split_top`, `_sum_terms`), shared by
+field elements, `Poly.parse` and `Cover.parse`. Spaces are ignored. A
+sum is one or more terms joined by `+` or `-`, the first optionally
+signed; a term is `c`, `v`, `c*v`, `v^k` or `c*v^k`, with k a decimal
+integer. An element is an integer (reduced mod p) or, in F_{p^m} with
+m > 1, a bracketed sum in v = u with integer coefficients and k < m,
+such as `[2*u^2 - u + 1]`. A polynomial is a sum in v = x (or X) whose
+coefficients are elements. A cover is `g / h`, or `g` for `g / 1`.
+Brackets do not nest, and every integer goes through one checked
+conversion, so malformed text raises `InputError`.
 
 This module only knows field elements: every polynomial step it needs
 runs on `poly`'s raw layer. Field construction is deterministic:
@@ -41,6 +54,7 @@ So embeddings are deterministic too.
 from __future__ import annotations
 
 import functools
+import re
 from itertools import product
 from operator import itemgetter
 
@@ -97,13 +111,66 @@ def _prime_divisors(n):
 
 def _least_irreducible(p, m):
     """Lexicographically least monic irreducible of degree m over F_p."""
-    for tail in product(range(p), repeat=m):
-        if tail[0] == 0:
-            continue  # divisible by x
+    # the constant term, which product() varies slowest, is nonzero: else
+    # x divides the candidate
+    for tail in product(range(1, p), *[range(p)] * (m - 1)):
         coeffs = list(tail) + [1]
         if _irreducible(p, coeffs):
             return tuple(coeffs)
     raise RuntimeError(f"no irreducible polynomial of degree {m} over F_{p}")
+
+
+# ---------------------------------------------------------------------------
+# The term reader behind parse_element, Poly.parse and Cover.parse; the
+# grammar is in the module docstring.
+
+
+def _int(text):
+    """The reader's one integer conversion."""
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"expected an integer, got {text!r}") from None
+
+
+@functools.lru_cache(maxsize=None)
+def _pieces(seps):
+    # from the start or a separator up to the next separator outside
+    # [...]; a bracket outside a [...] pair ends a piece too
+    seps = re.escape(seps)
+    return re.compile(rf"(?:^|[{seps}])(?:[^][{seps}]|\[[^][]*\])*")
+
+
+def _split_top(s, seps):
+    """Cut s before each character of seps that stands outside [...]."""
+    pieces = _pieces(seps).findall(s)
+    if sum(map(len, pieces)) != len(s):
+        raise InputError(f"unbalanced or nested brackets in {s!r}")
+    return pieces
+
+
+def _sum_terms(s, var):
+    """(sign, coefficient text or None, exponent) for each term of the
+    signed sum s in the one-character variable var. A var inside brackets
+    is found too: no coefficient that holds one is well formed."""
+    terms = _split_top(s, "+-")
+    if len(terms) > 1 and not terms[0]:
+        del terms[0]  # s opens with a sign
+    for term in terms:
+        sign = -1 if term[:1] == "-" else 1
+        if term[:1] in ("+", "-"):
+            term = term[1:]
+        if not term:
+            raise InputError(f"empty term in {s!r}")
+        head, found, tail = term.partition(var)
+        if not found:
+            yield sign, term, 0
+            continue
+        if head and head[-1] != "*":
+            raise InputError(f"malformed term {term!r} (use c*{var}^k)")
+        if tail and tail[0] != "^":
+            raise InputError(f"malformed term {term!r}")
+        yield sign, head[:-1] if head else None, _int(tail[1:]) if tail else 1
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +208,7 @@ class FieldSpec:
     """A concrete finite field F_{p^m}; construct via make_field."""
 
     __slots__ = ("p", "m", "modulus", "order", "_mul_t", "_add_t", "_sub_t",
-                 "_neg_t", "_inv_t", "_red_rows", "_embed_images", "_dec",
+                 "_neg_t", "_inv_t", "_embed_images", "_dec",
                  "_ppow", "_pack", "_pack_bits", "_packed_red", "__weakref__")
 
     def __init__(self, p: int, m: int, modulus):
@@ -149,12 +216,13 @@ class FieldSpec:
         self.m = m
         self.modulus = modulus  # tuple of m+1 ints over F_p, monic; None iff m == 1
         self.order = p ** m
-        self._red_rows = None
         self._embed_images = {}
         self._dec = None
         self._ppow = [p ** i for i in range(m)]
         self._pack = None
-        self._pack_bits = 0
+        # packing puts digits this many bits apart, which turns digit
+        # convolution into one int multiply
+        self._pack_bits = (2 * m * (p - 1) * (p - 1)).bit_length()
         self._packed_red = None
         if m > 1:
             # rows: coefficient vector of x^(m+k) reduced mod the modulus
@@ -172,7 +240,7 @@ class FieldSpec:
                             for j, r in enumerate(rows[0]):
                                 nxt[j] = (nxt[j] + c * r) % p
                 rows.append(nxt)
-            self._red_rows = rows
+            self._packed_red = [self._packed(row) for row in rows]
         if self.order <= TABLE_LIMIT:
             self._build_tables()
         else:
@@ -202,26 +270,22 @@ class FieldSpec:
         return tuple(digits)
 
     def _build_decode_cache(self):
-        # digit-vector and packed-int caches for fields too large for op
-        # tables; packing turns digit convolution into one int multiply.
+        # digit and packed-int caches for fields too large for op tables.
         # product() runs the last position fastest, which is the constant
         # digit in code order, so each tuple reads high digit first
-        p, m = self.p, self.m
-        bits = (2 * m * (p - 1) * (p - 1)).bit_length()
-        dec = [t[::-1] for t in product(range(p), repeat=m)]
+        p, m, bits = self.p, self.m, self._pack_bits
+        self._dec = [t[::-1] for t in product(range(p), repeat=m)]
         pack = [0]
         for _ in range(m):
             pack = [(x << bits) | d for x in pack for d in range(p)]
-        self._dec = dec
         self._pack = pack
-        self._pack_bits = bits
-        packed_red = []
-        for row in self._red_rows:
-            packed = 0
-            for d in reversed(row):
-                packed = (packed << bits) | d
-            packed_red.append(packed)
-        self._packed_red = packed_red
+
+    def _packed(self, digits) -> int:
+        """The digits (constant first) as one int, _pack_bits apart."""
+        x = 0
+        for d in reversed(digits):
+            x = (x << self._pack_bits) | d
+        return x
 
     def encode(self, digits) -> int:
         code = 0
@@ -293,34 +357,19 @@ class FieldSpec:
             self._build_decode_cache()
         pack = self._pack
         if pack is not None:
-            bits = self._pack_bits
-            mask = (1 << bits) - 1
             prod = pack[a] * pack[b]
-            for k in range(2 * m - 2, m - 1, -1):
-                c = (prod >> (k * bits)) & mask
-                c %= p
-                if c:
-                    prod += c * self._packed_red[k - m]
-            code = 0
-            for i in range(m - 1, -1, -1):
-                code = code * p + ((prod >> (i * bits)) & mask) % p
-            return code
-        da, db = self.decode(a), self.decode(b)
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    if y:
-                        prod[i + j] += x * y
-        out = prod[:m]
-        for k in range(m - 1):
-            c = prod[m + k] % p
+        else:  # above 2^20 elements: no caches, pack each operand here
+            prod = self._packed(self.decode(a)) * self._packed(self.decode(b))
+        bits = self._pack_bits
+        mask = (1 << bits) - 1
+        for k in range(2 * m - 2, m - 1, -1):
+            c = (prod >> (k * bits)) & mask
+            c %= p
             if c:
-                for j, r in enumerate(self._red_rows[k]):
-                    out[j] += c * r
+                prod += c * self._packed_red[k - m]
         code = 0
-        for d, pw in zip(out, self._ppow):
-            code += (d % p) * pw
+        for i in range(m - 1, -1, -1):
+            code = code * p + ((prod >> (i * bits)) & mask) % p
         return code
 
     def _inv_slow(self, a: int) -> int:
@@ -458,20 +507,18 @@ class FieldSpec:
 
     def parse_element(self, text: str) -> "FieldElement":
         s = text.strip().replace(" ", "")
-        if not s:
-            raise InputError("empty field element")
-        if s.startswith("["):
-            if self.m == 1:
-                raise InputError("bracketed element given for a prime field")
-            if not s.endswith("]"):
-                raise InputError(f"unbalanced brackets in element {text!r}")
-            digits = _parse_u_poly(s[1:-1], self.p, self.m)
-            return FieldElement(self, self.encode(digits))
-        try:
-            v = int(s)
-        except ValueError:
-            raise InputError(f"cannot parse field element {text!r}") from None
-        return FieldElement(self, v % self.p)
+        if not s.startswith("["):
+            return FieldElement(self, _int(s) % self.p)
+        if self.m == 1:
+            raise InputError("bracketed element given for a prime field")
+        if not s.endswith("]"):
+            raise InputError(f"unbalanced brackets in element {text!r}")
+        digits = [0] * self.m
+        for sign, coeff, k in _sum_terms(s[1:-1], "u"):
+            if k >= self.m:
+                raise InputError(f"term degree {k} too large for extension degree {self.m}")
+            digits[k] = (digits[k] + sign * (1 if coeff is None else _int(coeff))) % self.p
+        return FieldElement(self, self.encode(digits))
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
@@ -508,49 +555,6 @@ class FieldSpec:
 
     def __hash__(self):
         return hash((self.p, self.m, self.modulus))
-
-
-def _parse_u_poly(s: str, p: int, m: int):
-    digits = [0] * m
-    if not s:
-        raise InputError("empty bracketed element")
-    # cut into signed terms
-    pos = 0
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        pos = 1
-    term = ""
-    tokens = []
-    for ch in s[pos:] + "\0":
-        if ch in "+-\0":
-            tokens.append((sign, term))
-            sign = -1 if ch == "-" else 1
-            term = ""
-        else:
-            term += ch
-    for sg, t in tokens:
-        if not t:
-            raise InputError(f"malformed element term in {s!r}")
-        if "u" in t:
-            head, _, tail = t.partition("u")
-            coeff = 1
-            if head:
-                if not head.endswith("*") or not head[:-1]:
-                    raise InputError(f"malformed element term {t!r}")
-                coeff = int(head[:-1])
-            k = 1
-            if tail:
-                if not tail.startswith("^"):
-                    raise InputError(f"malformed element term {t!r}")
-                k = int(tail[1:])
-            if k >= m:
-                raise InputError(f"term degree {k} too large for extension degree {m}")
-        else:
-            coeff = int(t)
-            k = 0
-        digits[k] = (digits[k] + sg * coeff) % p
-    return digits
 
 
 class FieldElement:

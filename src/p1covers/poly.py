@@ -30,7 +30,7 @@ so no general rational-function type is ever needed.
 from __future__ import annotations
 
 from .errors import InputError
-from .field import MAX_EXT_DEGREE, FieldElement, FieldSpec, make_field
+from .field import MAX_EXT_DEGREE, FieldElement, FieldSpec, _sum_terms, make_field
 
 # ---------------------------------------------------------------------------
 # raw layer: coefficient lists of codes
@@ -852,84 +852,18 @@ class Poly:
         return f"Poly({self.to_str()!r} over {self.spec!r})"
 
 
-def _split_terms(s: str):
-    """Split on top-level +/-, respecting [...] around coefficients."""
-    tokens = []
-    sign = 1
-    depth = 0
-    term = ""
-    start = True
-    for ch in s + "\0":
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise InputError(f"unbalanced brackets in {s!r}")
-        if depth == 0 and ch in "+-\0" and not (start and ch in "+-"):
-            tokens.append((sign, term))
-            sign = -1 if ch == "-" else 1
-            term = ""
-        elif start and ch in "+-":
-            sign = -1 if ch == "-" else 1
-        else:
-            term += ch
-        start = False
-    if depth != 0:
-        raise InputError(f"unbalanced brackets in {s!r}")
-    return tokens
-
-
 def _parse_poly(text: str, spec: FieldSpec) -> Poly:
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise InputError("empty polynomial")
-    if s == "0":
-        return Poly.zero(spec)
+    # X is accepted so output printed in the X-for-x^p convention
+    # re-parses too; no element holds either letter
     codes = []
-    for sign, term in _split_terms(s):
-        if not term:
-            raise InputError(f"malformed polynomial {text!r}")
-        # locate the variable outside brackets; X is accepted so output
-        # printed in the X-for-x^p convention re-parses too
-        depth = 0
-        xpos = None
-        for i, ch in enumerate(term):
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch in "xX" and depth == 0:
-                xpos = i
-                break
-        if xpos is None:
-            coeff = spec.parse_element(term).code
-            k = 0
-        else:
-            head, tail = term[:xpos], term[xpos + 1:]
-            if head == "":
-                coeff = 1
-            elif head.endswith("*"):
-                coeff = spec.parse_element(head[:-1]).code
-            else:
-                raise InputError(f"malformed term {term!r} (use c*x^k)")
-            if tail == "":
-                k = 1
-            elif tail.startswith("^"):
-                try:
-                    k = int(tail[1:])
-                except ValueError:
-                    raise InputError(f"bad exponent in term {term!r}") from None
-                if k < 0:
-                    raise InputError("negative exponents are not polynomials")
-            else:
-                raise InputError(f"malformed term {term!r}")
+    for sign, coeff, k in _sum_terms(text.strip().replace(" ", "").replace("X", "x"), "x"):
+        c = 1 if coeff is None else spec.parse_element(coeff).code
         if sign < 0:
-            coeff = spec.neg(coeff)
+            c = spec.neg(c)
         if len(codes) <= k:
             codes.extend([0] * (k + 1 - len(codes)))
-        codes[k] = spec.add(codes[k], coeff)
-    return Poly(spec, codes)
+        codes[k] = spec.add(codes[k], c)
+    return Poly._raw(spec, raw_trim(codes))
 
 
 def poly_arith(a: Poly, b: Poly, op: str):

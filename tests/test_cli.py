@@ -226,6 +226,22 @@ def test_max_ext_below_one_rejected(capsys, command):
     assert code == 2 and "max_ext must be at least 1" in err and out == ""
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["tangent", "x", "--p", "3", "--order", "0"], "lift order"),
+    (["tangent", "x", "--p", "3", "--order", "1"], "lift order"),
+    (["disc", "x", "--p", "3", "--max-ext", "0"], "max_ext"),
+    (["census", "--p", "2", "--d", "1", "--points", "--max-ext", "0"], "max_ext"),
+    (["census", "--p", "2", "--d", "2", "--no-points", "--max-ext", "0"], "max_ext"),
+    (["census", "--p", "2", "--d", "2", "--max-ext", "0"], "max_ext"),
+    (["family", "wild", "x^5 + x", "--p", "3", "--max-ext", "0"], "max_ext"),
+])
+def test_flag_bounds_checked_before_the_data(capsys, argv, message):
+    # none of these covers has a tangent vector to lift or a root to find
+    # beyond F_q, so only a check on entry rejects the flag
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and message in err and out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["disc", "x^4", "--p", "3", "--threads", "2"],
     ["disc", "x^4", "--p", "3", "--seed", "1"],

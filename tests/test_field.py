@@ -1,6 +1,7 @@
 """Field construction, arithmetic, Frobenius, embeddings, text format."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +72,41 @@ def test_make_field_moduli_examples():
                          + [(2, 10), (2, 12), (3, 7), (3, 8), (5, 6), (7, 4), (13, 4)])
 def test_modulus_is_least_irreducible(p, m):
     assert make_field(p, m).modulus == least_irreducible_oracle(p, m)
+
+
+# beyond the oracle's reach: F_{13^12} alone has 13^11 candidates with
+# constant term 0 ahead of its modulus in the search order
+PINNED_MODULI = {
+    (5, 12): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 4, 1),
+    (7, 10): (1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1),
+    (11, 8): (1, 0, 0, 0, 0, 0, 0, 4, 1),
+    (13, 6): (1, 0, 0, 0, 0, 1, 1),
+    (11, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1),
+    (7, 12): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 3, 1),
+    (11, 12): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 5, 1),
+    (13, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 6, 1),
+    (13, 12): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(PINNED_MODULI))
+def test_large_moduli_pinned(p, m, monkeypatch):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    from p1covers import field
+    drawn = []
+
+    def counting_product(*ranges, **kw):
+        for t in product(*ranges, **kw):
+            drawn.append(t)
+            yield t
+
+    monkeypatch.setattr(field, "product", counting_product)
+    modulus = field._least_irreducible(p, m)
+    assert modulus == PINNED_MODULI[(p, m)]
+    assert gf_irreducible_p(list(reversed(modulus)), p, ZZ)
+    assert drawn and all(t[0] for t in drawn)  # no candidate divisible by x
 
 
 def test_make_field_deterministic_and_interned():
@@ -281,7 +317,8 @@ def test_tables_match_slow_arithmetic(p, m, monkeypatch):
             code[tuple((x - y) % p for x, y in zip(da, db))] for db in digits]
         assert spec._mul_t[a * q:a * q + q] == [spec._mul_slow(a, b) for b in range(q)]
     if m > 1:
-        # the products above took the packed-int path; now the digit vectors
+        # the products above read the packed cache; now each operand is
+        # packed on the fly, as above 2^20 elements
         assert spec._pack is not None
         monkeypatch.setattr(spec, "_pack", None)
         for a in rows:

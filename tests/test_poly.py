@@ -8,6 +8,7 @@ import pytest
 from p1covers import (Cover, FieldElement, FieldMatrix, InputError, Poly, PolyMatrix,
                       kernel_basis, make_field, poly_arith, poly_gcd,
                       rank_over_kX, roots_with_multiplicity)
+from p1covers.cli import main
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -613,10 +614,19 @@ def test_parse_round_trip_random():
             assert Poly.parse(str(poly), spec) == poly
 
 
-def test_parse_errors():
-    for bad in ["", "x^-2", "x^2 +", "y + 1", "2x", "[u+1]x"]:
+@pytest.mark.parametrize("bad", [
+    "", "x^-2", "x^2 +", "y + 1", "2x", "[u+1]x",
+    # these made the element reader raise ValueError before every reader
+    # shared field._sum_terms
+    "[a*u]", "[u^x]", "[u^-1]", "[u^]", "[abc]", "[]", "[u+[1]]"])
+def test_parse_errors(bad, capsys):
+    for read in (F9.parse_element, lambda s: Poly.parse(s, F9),
+                 lambda s: Cover.parse(s, F9), lambda s: Poly.parse(f"{s}*x + 1", F9)):
         with pytest.raises(InputError):
-            Poly.parse(bad, F9)
+            read(bad)
+    assert main(["disc", bad, "--p", "3", "--ext", "2"]) == 2
+    assert main(["disc", f"{bad}*x + 1", "--p", "3", "--ext", "2"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_poly_evaluate_and_embed():
