@@ -34,16 +34,17 @@ discriminant column, so its rank is rank A + rank N B(h), with N a
 left-kernel basis of A, once per g row, and N B(h) affine in h. Per
 class only a (2d-1 - rank A) x (d-1) rank is left.
 
-Records group the classes by monic discriminant. Length multisets come
-from the squarefree structure, exact and extension-free; divisor points,
-the only part that may need an extension field, are materialized when
-cheap or requested, from the same squarefree split. Both are computed
-once per orbit of keys, on its least key, the first key: a key reached
-from it by x -> ax has the same length structure, and its points are
-the first key's points times a^-1. The first key depends on the orbit
-alone, so the tasks' tables agree on it, and the merge only adds counts
-and dimensions. The class total is checked against its closed form,
-from which Burnside gives the Frobenius orbit count.
+Records group the classes by monic discriminant, with the branch data
+of a single cover: cover._branch_shape reads lengths and wildness off
+the squarefree structure, exact and extension-free, and
+cover._branch_divisor finds the divisor points, the only part that may
+need an extension field, from the same split, when cheap or requested.
+Both are computed once per orbit of keys, on its least key, the first
+key: a key reached from it by x -> ax has the same length structure, and
+its points are the first key's points times a^-1. The first key depends
+on the orbit alone, so the tasks' tables agree on it, and the merge only
+adds counts and dimensions. The class total is checked against its
+closed form, from which Burnside gives the Frobenius orbit count.
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ import math
 import os
 from dataclasses import dataclass
 
-from .cover import Cover, Divisor, INF
+from .cover import INF, Cover, Divisor, _branch_divisor, _branch_shape
 from .errors import BudgetExceeded, InputError
 from .field import FieldElement, FieldSpec, make_field
 from .poly import (Poly, raw_T_columns, raw_axpy, raw_factor_sqf, raw_kernel, raw_monic,
-                   raw_rank, raw_rem, raw_sqf_list, raw_sqf_roots, raw_trim)
+                   raw_rank, raw_rem, raw_sqf_list, raw_trim)
 
 DEFAULT_BUDGET = 2_000_000
 POINTS_AUTO_LIMIT = 50_000
@@ -417,27 +418,10 @@ class CensusResult:
 
 
 def _length_structure(S, disc_key, d, memo):
-    """(finite_lengths, l_inf, factor_profile, wild, sqf) from the
-    squarefree structure sqf = raw_sqf_list of the key; exact, no
-    extension needed. A squarefree factor of degree k with multiplicity e
-    contributes k geometric roots of length e, so the multiset never
-    needs the roots themselves; wild says that some length, infinity
-    included, is at least p. sqf is returned for _materialize_divisor.
-    `memo` keeps the results by key across calls."""
+    """cover._branch_shape of the key, kept in memo by key across calls."""
     out = memo.get(disc_key)
-    if out is not None:
-        return out
-    finite = []
-    profile = []
-    sqf = raw_sqf_list(S, list(disc_key))
-    for fac, mult in sqf:
-        k = len(fac) - 1
-        profile.append((k, mult))
-        finite.extend([mult] * k)
-    l_inf = (2 * d - 2) - (len(disc_key) - 1)
-    wild = max(finite, default=0) >= S.p or l_inf >= S.p
-    out = memo[disc_key] = (tuple(sorted(finite)), l_inf, tuple(sorted(profile)), wild,
-                            sqf)
+    if out is None:
+        out = memo[disc_key] = _branch_shape(S, disc_key, d)
     return out
 
 
@@ -529,22 +513,11 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
 
 
 def _materialize_divisor(S, disc_key, l_inf, max_ext, sqf=None):
-    """(Divisor of the key's roots and l_inf at INF, True), or (None,
-    False) when the key does not split within max_ext; sqf is the key's
-    raw_sqf_list when the caller has it already."""
-    pairs = []
-    split_ok = True
-    if len(disc_key) > 1:
-        if sqf is None:
-            sqf = raw_sqf_list(S, list(disc_key))
-        roots, residual = raw_sqf_roots(S, sqf, max_ext)
-        split_ok = len(residual) == 1
-        pairs.extend(roots)
-    if not split_ok:
-        return None, False
-    if l_inf > 0:
-        pairs.append((INF, l_inf))
-    return Divisor(pairs), True
+    """(cover._branch_divisor's Divisor, True), or (None, False) past
+    max_ext; sqf is the key's raw_sqf_list when the caller has it."""
+    div, _ = _branch_divisor(S, raw_sqf_list(S, list(disc_key)) if sqf is None else sqf,
+                             l_inf, max_ext)
+    return div, div is not None
 
 
 def _scaled_divisor(S, div, a):

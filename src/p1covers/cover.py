@@ -31,7 +31,7 @@ from .errors import InputError, SplitBoundExceeded
 from .field import FieldElement, FieldSpec, _split_top, make_field
 from .poly import (Poly, raw_T, raw_add, raw_divrem, raw_embed, raw_eval,
                    raw_gcd, raw_mobius_substitute, raw_monic, raw_rref,
-                   raw_scale, raw_sqf_list, roots_with_multiplicity)
+                   raw_scale, raw_sqf_list, raw_sqf_roots)
 
 
 class _Infinity:
@@ -286,34 +286,21 @@ class Cover:
     def differential_lengths(self, max_ext: int = 4) -> Divisor:
         """Branch divisor: multiplicities of disc roots plus the mass
         (2d-2) - deg disc at infinity."""
-        if max_ext < 1:
-            raise InputError("max_ext must be at least 1")
-        disc = self.discriminant()
-        l_inf = (2 * self.d - 2) - disc.degree()
-        pairs = []
-        if disc.degree() > 0:
-            roots, residual = roots_with_multiplicity(disc, max_ext)
-            if residual.degree() > 0:
-                raise SplitBoundExceeded(
-                    f"discriminant does not split within extension degree {max_ext}",
-                    residual=residual)
-            pairs.extend(roots)
-        if l_inf > 0:
-            pairs.append((INF, l_inf))
-        return Divisor(pairs)
+        S = self.spec
+        _, l_inf, _, _, sqf = _branch_shape(S, self._disc_raw, self.d)
+        div, residual = _branch_divisor(S, sqf, l_inf, max_ext)
+        if div is None:
+            raise SplitBoundExceeded(
+                f"discriminant does not split within extension degree {max_ext}",
+                residual=Poly._raw(S, residual))
+        return div
 
     def length_multiset(self):
         """Sorted multiset of all differential lengths (infinity included),
         read off the squarefree structure of the discriminant; exact and
         extension-free, unlike differential_lengths."""
-        disc = self.discriminant()
-        out = []
-        for fac, mult in raw_sqf_list(self.spec, list(disc.c)):
-            out.extend([mult] * (len(fac) - 1))
-        l_inf = (2 * self.d - 2) - disc.degree()
-        if l_inf > 0:
-            out.append(l_inf)
-        return tuple(sorted(out))
+        finite, l_inf, *_ = _branch_shape(self.spec, self._disc_raw, self.d)
+        return tuple(sorted(finite + (l_inf,))) if l_inf > 0 else finite
 
     def ram_index(self, point):
         """(e_P, wild flag): vanishing order at P of g - f(P) h (or of h
@@ -433,6 +420,38 @@ class Cover:
 
     def __hash__(self):
         return hash((self.g, self.h))
+
+
+def _branch_shape(S, disc, d):
+    """(finite_lengths, l_inf, factor_profile, wild, sqf) of a degree-d
+    cover with discriminant disc (raw, any scalar multiple), from its
+    squarefree structure sqf = raw_sqf_list(S, disc); exact, no extension
+    needed. A squarefree factor of degree k with multiplicity e
+    contributes k geometric roots of length e, so the lengths never need
+    the roots themselves; l_inf is the rest of the mass 2d - 2, and wild
+    says that some length, infinity included, is at least p."""
+    finite = []
+    profile = []
+    sqf = raw_sqf_list(S, list(disc))
+    for fac, mult in sqf:
+        k = len(fac) - 1
+        profile.append((k, mult))
+        finite.extend([mult] * k)
+    l_inf = (2 * d - 2) - (len(disc) - 1)
+    wild = max(finite, default=0) >= S.p or l_inf >= S.p
+    return tuple(sorted(finite)), l_inf, tuple(sorted(profile)), wild, sqf
+
+
+def _branch_divisor(S, sqf, l_inf, max_ext):
+    """(Divisor of the roots of the squarefree list sqf with l_inf at INF,
+    or None when some factor does not split within max_ext; the raw
+    unsplit residual, [1] when all split)."""
+    roots, residual = raw_sqf_roots(S, sqf, max_ext)
+    if len(residual) > 1:
+        return None, residual
+    if l_inf > 0:
+        roots.append((INF, l_inf))
+    return Divisor(roots), residual
 
 
 def make_cover(g: Poly, h: Poly) -> Cover:

@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cover import INF, Cover, _pivot_inverse, _raw_postcompose
+from .cover import (INF, Cover, _branch_divisor, _branch_shape, _pivot_inverse,
+                    _raw_postcompose)
 from .deform import DeformationVector
 from .errors import InputError, SplitBoundExceeded
 from .field import FieldElement, FieldSpec, make_field
 from .poly import (Poly, raw_T, raw_add, raw_embed, raw_mobius_substitute,
-                   raw_scale, raw_sqf_list, raw_sub, raw_trim,
-                   roots_with_multiplicity)
+                   raw_scale, raw_sub, raw_trim)
 
 
 @dataclass(frozen=True)
@@ -94,26 +94,20 @@ def wild_family(c: Cover, max_ext: int = 4) -> Family:
     if max_ext < 1:
         raise InputError("max_ext must be at least 1")
     p = c.spec.p
-    disc = c.discriminant()
-    l_inf = (2 * c.d - 2) - disc.degree()
-    wild_part = Poly.one(c.spec)
-    any_wild = l_inf >= p
-    for fac, mult in raw_sqf_list(c.spec, list(disc.c)):
-        if mult >= p:
-            any_wild = True
-            wild_part = wild_part * Poly._raw(c.spec, fac)
-    if not any_wild:
+    _, l_inf, _, wild, sqf = _branch_shape(c.spec, c.discriminant().c, c.d)
+    if not wild:
         raise InputError(
             f"no point has differential length >= {p}; no such family exists here")
     if l_inf >= p:
         point = INF
     else:
-        roots, residual = roots_with_multiplicity(wild_part, max_ext)
-        if residual.degree() > 0:
+        div, residual = _branch_divisor(c.spec, [(fac, 1) for fac, e in sqf if e >= p], 0,
+                                        max_ext)
+        if div is None:
             raise SplitBoundExceeded(
                 f"wild locus does not split within extension degree {max_ext}",
-                residual=residual)
-        point = roots[0][0]  # least root in the fixed element order
+                residual=Poly._raw(c.spec, residual))
+        point = div.support()[0]  # least root in the fixed element order
     if point is INF:
         cov = c
         S = cov.spec

@@ -31,7 +31,8 @@ Text is read by one term reader (`_split_top`, `_sum_terms`), shared by
 field elements, `Poly.parse` and `Cover.parse`. Spaces are ignored. A
 sum is one or more terms joined by `+` or `-`, the first optionally
 signed; a term is `c`, `v`, `c*v`, `v^k` or `c*v^k`, with k a decimal
-integer. An element is an integer (reduced mod p) or, in F_{p^m} with
+integer of at most `MAX_EXPONENT` (1024), so no text asks for more room
+than that. An element is an integer (reduced mod p) or, in F_{p^m} with
 m > 1, a bracketed sum in v = u with integer coefficients and k < m,
 such as `[2*u^2 - u + 1]`. A polynomial is a sum in v = x (or X) whose
 coefficients are elements. A cover is `g / h`, or `g` for `g / 1`.
@@ -62,6 +63,7 @@ from .errors import InputError
 
 PRIME_LIMIT = 13
 MAX_EXT_DEGREE = 12
+MAX_EXPONENT = 1024
 TABLE_LIMIT = 729
 
 
@@ -170,7 +172,10 @@ def _sum_terms(s, var):
             raise InputError(f"malformed term {term!r} (use c*{var}^k)")
         if tail and tail[0] != "^":
             raise InputError(f"malformed term {term!r}")
-        yield sign, head[:-1] if head else None, _int(tail[1:]) if tail else 1
+        k = _int(tail[1:]) if tail else 1
+        if k > MAX_EXPONENT:
+            raise InputError(f"exponent {k} in {term!r} exceeds {MAX_EXPONENT}")
+        yield sign, head[:-1] if head else None, k
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +532,10 @@ class FieldSpec:
         return FieldElement(self, 1)
 
     def element(self, value) -> "FieldElement":
+        """The one checked conversion into this field: an element of it, an
+        int (reduced mod p when m = 1, else a code 0 <= value < q) or text."""
         if isinstance(value, FieldElement):
-            if value.spec is not self:
+            if value.spec != self:
                 raise InputError("element belongs to another field")
             return value
         if isinstance(value, int):
@@ -572,7 +579,7 @@ class FieldElement:
                 return other.code
             raise InputError(f"field mismatch: {self.spec!r} vs {other.spec!r}")
         if isinstance(other, int):
-            return other % self.spec.p if self.spec.m == 1 else self.spec.element(other).code
+            return self.spec.element(other).code
         return None
 
     def __add__(self, other):

@@ -666,19 +666,7 @@ class Poly:
     __slots__ = ("spec", "c")
 
     def __init__(self, spec: FieldSpec, coeffs=()):
-        codes = []
-        for v in coeffs:
-            if isinstance(v, FieldElement):
-                if v.spec != spec:
-                    raise InputError("coefficient from a different field")
-                codes.append(v.code)
-            elif isinstance(v, int):
-                codes.append(v % spec.p if spec.m == 1 else v)
-            else:
-                raise InputError(f"bad coefficient {v!r}")
-        for v in codes:
-            if not 0 <= v < spec.order:
-                raise InputError(f"coefficient code {v} out of range for {spec!r}")
+        codes = [spec.element(v).code for v in coeffs]
         raw_trim(codes)
         self.spec = spec
         self.c = tuple(codes)
@@ -706,8 +694,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, spec, k, coeff=1):
-        c = coeff.code if isinstance(coeff, FieldElement) else (
-            coeff % spec.p if spec.m == 1 else coeff)
+        c = spec.element(coeff).code
         if c == 0:
             return cls.zero(spec)
         return cls._raw(spec, (0,) * k + (c,))
@@ -895,8 +882,7 @@ class FieldMatrix:
         data = []
         width = ncols
         for row in rows:
-            r = [v.code if isinstance(v, FieldElement) else
-                 (v % spec.p if spec.m == 1 else v) for v in row]
+            r = [spec.element(v).code for v in row]
             if width is None:
                 width = len(r)
             elif len(r) != width:

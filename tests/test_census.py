@@ -6,9 +6,9 @@ from itertools import product as iproduct
 
 import pytest
 
-from p1covers import (BudgetExceeded, Cover, InputError, Mobius, Poly,
+from p1covers import (BudgetExceeded, Cover, InputError, Mobius, Poly, SplitBoundExceeded,
                       census_by_disc, enumerate_covers, make_field, raw_plane_count,
-                      verify_theorem_char23)
+                      verify_theorem_char23, wild_family)
 from p1covers.census import (_admissible, _chart_block, _class_total, _images,
                              _materialize_divisor, _merge_tables, _scaling, _scan_chunk,
                              _tangent_dim_raw)
@@ -314,12 +314,28 @@ def test_census_max_ext_bounds_points_only(spec):
 
 
 def test_census_multisets_match_cover_path():
-    # record-level length multisets agree with the per-cover computation
-    res = census_by_disc(F3, 3, with_tangent=False)
-    by_disc = {str(r.disc): r for r in res.records}
-    for cov in enumerate_covers(F3, 3):
-        rec = by_disc[str(cov.discriminant())]
-        assert rec.length_multiset() == cov.length_multiset()
+    # each record's points, wildness and length multiset agree with the
+    # per-cover path, which finds every class's points by direct root
+    # finding where the census scales its first key's points (F_8's reach
+    # F_{8^4}, which has no tables)
+    for spec in (F3, F4, F5, F8):
+        res = census_by_disc(spec, 3, max_ext=4, with_tangent=False, points=True)
+        by_disc = {str(r.disc): r for r in res.records}
+        for cov in enumerate_covers(spec, 3):
+            rec = by_disc[str(cov.discriminant())]
+            try:
+                lengths = cov.differential_lengths(4)
+            except SplitBoundExceeded:
+                lengths = None
+            try:
+                wild_family(cov, 4)
+                wild = True
+            except SplitBoundExceeded:
+                wild = True
+            except InputError:
+                wild = False
+            assert ((rec.lengths, rec.split_ok, rec.wild, rec.length_multiset())
+                    == (lengths, lengths is not None, wild, cov.length_multiset())), str(cov)
 
 
 def assert_tangent_dims_match_object_layer(spec, d):

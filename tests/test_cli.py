@@ -1,6 +1,7 @@
 """CLI: output contracts, JSON round trips, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -199,6 +200,9 @@ def test_exit_codes(capsys):
     assert code == 1 and "budget" in err
     code, _, err = run(capsys, "disc", "x^5 + x", "--p", "3", "--max-ext", "1")
     assert code == 1 and "split" in err
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "disc", "x^1000000000", "--p", "3")
+    assert code == 2 and "exceeds 1024" in err and time.perf_counter() - t0 < 1
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

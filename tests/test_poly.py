@@ -84,6 +84,19 @@ def test_field_mismatch():
         Poly.parse("x", F3) + Poly.parse("x", F5)
 
 
+def test_integer_codes_checked_everywhere():
+    # an int is reduced mod p over a prime field and must be a code in
+    # [0, q) otherwise; a negative code used to index the tables from the end
+    assert Poly.constant(F3, -1) == Poly.monomial(F3, 0, 2) == Poly(F3, [5])
+    assert FieldMatrix(F3, [[-1, 1]]).data == [[2, 1]]
+    for build in (lambda: Poly.constant(F9, -1), lambda: Poly.monomial(F9, 2, 100),
+                  lambda: Poly.monomial(F9, 1, FieldElement(F3, 1)),
+                  lambda: Poly(F9, [0, 9]), lambda: FieldMatrix(F9, [[-1, 1]]),
+                  lambda: FieldMatrix(F9, [[1, 9]])):
+        with pytest.raises(InputError):
+            build()
+
+
 def test_derivative_examples():
     assert Poly.parse("x^3", F3).derivative().is_zero()
     assert Poly.parse("x^5 + x", F3).derivative() == Poly.parse("2*x^4 + 1", F3)
@@ -618,7 +631,9 @@ def test_parse_round_trip_random():
     "", "x^-2", "x^2 +", "y + 1", "2x", "[u+1]x",
     # these made the element reader raise ValueError before every reader
     # shared field._sum_terms
-    "[a*u]", "[u^x]", "[u^-1]", "[u^]", "[abc]", "[]", "[u+[1]]"])
+    "[a*u]", "[u^x]", "[u^-1]", "[u^]", "[abc]", "[]", "[u+[1]]",
+    # an exponent above field.MAX_EXPONENT, rejected before any allocation
+    "x^1000000000"])
 def test_parse_errors(bad, capsys):
     for read in (F9.parse_element, lambda s: Poly.parse(s, F9),
                  lambda s: Cover.parse(s, F9), lambda s: Poly.parse(f"{s}*x + 1", F9)):
