@@ -88,14 +88,17 @@ class OperatorMatrix:
         return out
 
 
-def operator_matrix(f: Poly) -> OperatorMatrix:
+def _columns(f: Poly):
+    """decompose(T_f(x^j)) for j = 0..p-1, as raw coordinate lists."""
     if f.is_zero():
         raise InputError("the defining polynomial f must be non-zero")
     S = f.spec
-    p = S.p
-    cols = [decompose(apply_T(f, Poly.monomial(S, j))) for j in range(p)]
-    rows = [[cols[j][i] for j in range(p)] for i in range(p)]
-    return OperatorMatrix(f, PolyMatrix(S, rows))
+    return [[list(c.c) for c in decompose(apply_T(f, Poly.monomial(S, j)))]
+            for j in range(S.p)]
+
+
+def operator_matrix(f: Poly) -> OperatorMatrix:
+    return OperatorMatrix(f, PolyMatrix(f.spec, zip(*_columns(f))))
 
 
 def kernel_T(f: Poly):
@@ -112,22 +115,12 @@ def kernel_T(f: Poly):
 def image_T(f: Poly):
     """(dimension, basis) of the column space of T_f over k(X); the basis
     rows are the canonical reduced generators with polynomial entries."""
-    om = operator_matrix(f)
-    S = om.spec
-    cols_as_rows = [[om.matrix.data[i][j] for i in range(S.p)] for j in range(S.p)]
-    canon = polymat_canonical_rows(S, cols_as_rows, S.p)
+    S = f.spec
+    canon = polymat_canonical_rows(S, _columns(f), S.p)
     dim = len(canon)
     if dim != S.p - 1:
         raise ArithmeticError(f"image of T_f has dimension {dim}, expected {S.p - 1}")
     return dim, [[Poly._raw(S, list(e)) for e in row] for row in canon]
-
-
-def image_canonical(f: Poly):
-    """Hashable canonical form of the image subspace."""
-    om = operator_matrix(f)
-    S = om.spec
-    cols_as_rows = [[om.matrix.data[i][j] for i in range(S.p)] for j in range(S.p)]
-    return polymat_canonical_rows(S, cols_as_rows, S.p)
 
 
 def image_equal(f: Poly, g: Poly) -> bool:
@@ -135,14 +128,13 @@ def image_equal(f: Poly, g: Poly) -> bool:
     if f.is_zero() or g.is_zero():
         raise InputError("the defining polynomials must be non-zero")
     f._check(g)
-    return image_canonical(f) == image_canonical(g)
+    return image_T(f) == image_T(g)
 
 
 def in_image(f: Poly, q: Poly) -> bool:
     """Whether q lies in the image of T_f over k(x^p)."""
-    om = operator_matrix(f)
-    S = om.spec
-    cols_as_rows = [[om.matrix.data[i][j] for i in range(S.p)] for j in range(S.p)]
-    base_rank = polymat_rank(S, cols_as_rows, S.p)
+    cols = _columns(f)
+    f._check(q)
+    S = f.spec
     target = [list(c.c) for c in decompose(q)]
-    return polymat_rank(S, cols_as_rows + [target], S.p) == base_rank
+    return polymat_rank(S, cols + [target], S.p) == polymat_rank(S, cols, S.p)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .cartier import decompose, reassemble
 from .cover import NormalizedCover
 from .errors import BudgetExceeded, InputError
 from .field import FieldElement, FieldSpec
@@ -50,21 +51,22 @@ class DeformationVector:
 class TangentSystem:
     """Linear conditions cutting out the first-order deformations.
 
-    Unknown layout: d-1 coefficients of g1, then d-1 coefficients of h1,
-    then one eps per branch point (xli only). Rows are the coefficients
-    of x^0 .. x^(2d-3) of the defining polynomial identity.
+    `g` and `h` are the chart pair as raw code tuples over `spec` (embedded
+    in the splitting field of the discriminant for xli). Unknown layout:
+    d-1 coefficients of g1, then d-1 coefficients of h1, then one eps per
+    branch point (xli only). Rows are the coefficients of x^0 .. x^(2d-3)
+    of the defining polynomial identity.
     """
 
     cover: NormalizedCover
     variant: str
     spec: FieldSpec
+    g: tuple
+    h: tuple
     matrix: FieldMatrix
     points: tuple
     lengths: tuple
     degenerate: tuple
-
-    def unknowns(self) -> int:
-        return self.matrix.ncols
 
 
 def _tangent_columns_raw(S, g, h, exps):
@@ -76,6 +78,15 @@ def _tangent_columns_raw(S, g, h, exps):
 
 def _columns_to_rows(cols, nrows):
     return [[(col[i] if i < len(col) else 0) for col in cols] for i in range(nrows)]
+
+
+def _branch_direction(S, disc, pt, l):
+    """(l mod p) * disc/(x - c): how disc moves to first order when the
+    branch point c of length l moves; zero when p divides l."""
+    lp = l % S.p
+    if lp == 0:
+        return []
+    return raw_scale(S, raw_quo_exact(S, disc, [S.neg(pt.code), 1]), lp)
 
 
 def tangent_system(nc: NormalizedCover, variant: str = "xd",
@@ -93,25 +104,16 @@ def tangent_system(nc: NormalizedCover, variant: str = "xd",
         g = raw_embed(S, K, g)
         h = raw_embed(S, K, h)
         S = K
-        pts, lens = [], []
-        for pt, mult in divisor.items():
-            pts.append(pt)
-            lens.append(mult)
-        points, lengths = tuple(pts), tuple(lens)
+        points = tuple(pt for pt, _ in divisor.items())
+        lengths = tuple(l for _, l in divisor.items())
         degenerate = tuple(pt for pt, l in zip(points, lengths) if l % S.p == 0)
-    cols = _tangent_columns_raw(S, g, h, range(d - 1))
-    if variant == "xli":
-        disc = raw_T(S, g, h)
-        for pt, l in zip(points, lengths):
-            lp = l % S.p
-            if lp == 0:
-                cols.append([])  # degenerate direction, kept deliberately
-                continue
-            quot = raw_quo_exact(S, disc, [S.neg(pt.code), 1])
-            cols.append(raw_scale(S, quot, S.neg(lp)))
+    disc = raw_T(S, g, h)
+    cols = _tangent_columns_raw(S, g, h, range(d - 1)) + [
+        raw_neg(S, _branch_direction(S, disc, pt, l)) for pt, l in zip(points, lengths)]
     nrows = 2 * d - 2
     matrix = FieldMatrix(S, _columns_to_rows(cols, nrows), ncols=len(cols))
-    return TangentSystem(nc, variant, S, matrix, points, lengths, degenerate)
+    return TangentSystem(nc, variant, S, tuple(g), tuple(h), matrix, points, lengths,
+                         degenerate)
 
 
 def _first_order_residual(S, g, h, g1, h1):
@@ -122,26 +124,18 @@ def _first_order_residual(S, g, h, g1, h1):
 def tangent_dim(nc: NormalizedCover, variant: str = "xd", max_ext: int = 4):
     """(dimension, basis of DeformationVectors), verified by substitution."""
     ts = tangent_system(nc, variant, max_ext)
-    S = ts.spec
+    S, g, h = ts.spec, ts.g, ts.h
     d = nc.cover.d
-    vecs = raw_kernel(S, ts.matrix.data, ts.matrix.ncols)
-    g = raw_embed(nc.cover.spec, S, list(nc.cover.g.c))
-    h = raw_embed(nc.cover.spec, S, list(nc.cover.h.c))
     disc = raw_T(S, g, h)
+    directions = [_branch_direction(S, disc, pt, l) for pt, l in zip(ts.points, ts.lengths)]
     basis = []
-    for v in vecs:
+    for v in raw_kernel(S, ts.matrix.data, ts.matrix.ncols):
         g1 = raw_trim(list(v[:d - 1]))
         h1 = raw_trim(list(v[d - 1:2 * d - 2]))
         eps = v[2 * d - 2:]
         residual = _first_order_residual(S, g, h, g1, h1)
-        if ts.variant == "xli":
-            target = []
-            for pt, l, e in zip(ts.points, ts.lengths, eps):
-                lp = l % S.p
-                if lp and e:
-                    quot = raw_quo_exact(S, disc, [S.neg(pt.code), 1])
-                    target = raw_add(S, target, raw_scale(S, quot, S.mul(e, lp)))
-            residual = raw_sub(S, residual, target)
+        for direction, e in zip(directions, eps):
+            residual = raw_sub(S, residual, raw_scale(S, direction, e))
         if residual:
             raise ArithmeticError("tangent basis vector fails the defining identity")
         basis.append(DeformationVector(
@@ -169,15 +163,13 @@ def brute_force_tangent(nc: NormalizedCover, variant: str = "xd",
     log_q(count). Independent of the tangent matrix: each candidate's
     deformed discriminant is recomputed from the definition."""
     ts = tangent_system(nc, variant, max_ext)
-    S = ts.spec
+    S, g, h = ts.spec, ts.g, ts.h
     d = nc.cover.d
     q = S.order
     nvars = ts.matrix.ncols
     if q ** nvars > limit:
         raise BudgetExceeded(
             f"brute force needs {q ** nvars} trials, over the limit {limit}")
-    g = raw_embed(nc.cover.spec, S, list(nc.cover.g.c))
-    h = raw_embed(nc.cover.spec, S, list(nc.cover.h.c))
     npoly = d - 1
     count = 0
     for tup in product(range(q), repeat=nvars):
@@ -241,12 +233,11 @@ def lift_deformation(nc: NormalizedCover, v: DeformationVector, order: int) -> L
         raise InputError("deformation vector over a different field than the cover")
     if v.g1.degree() > d - 2 or v.h1.degree() > d - 2:
         raise InputError("deformation polynomials must have degree at most d-2")
-    g, h = list(cov.g.c), list(cov.h.c)
+    ts = tangent_system(nc)
+    g, h, rows = ts.g, ts.h, ts.matrix.data
     if _first_order_residual(S, g, h, list(v.g1.c), list(v.h1.c)):
         raise InputError("vector is not a first-order solution of the xd system")
-    cols = _tangent_columns_raw(S, g, h, range(d - 1))
     nrows = 2 * d - 2
-    rows = _columns_to_rows(cols, nrows)
     gs = [g, list(v.g1.c)]
     hs = [h, list(v.h1.c)]
     corrections = [(v.g1, v.h1)]
@@ -304,11 +295,11 @@ def structure_decomposition(nc: NormalizedCover, v: DeformationVector):
     beta, gamma in k(x^p); returns three (numerator, denominator) pairs
     of polynomials in X over a common monic denominator, or None when no
     such decomposition exists."""
-    from .cartier import decompose
-
     cov = nc.cover
     S = cov.spec
     p = S.p
+    if v.g1.spec != S or v.h1.spec != S:
+        raise InputError("deformation vector over a different field than the cover")
     gd = [list(c.c) for c in decompose(cov.g)]
     hd = [list(c.c) for c in decompose(cov.h)]
     g1d = [list(c.c) for c in decompose(v.g1)]
@@ -326,29 +317,14 @@ def structure_decomposition(nc: NormalizedCover, v: DeformationVector):
             break
     if pick is None:
         return None
-    den = pick[3]
-    inv = S.inv(den[-1])
-    den = raw_scale(S, den, inv)
-    nums = [raw_scale(S, pick[i], inv) for i in range(3)]
+    inv = S.inv(pick[3][-1])
+    den, alpha, beta, gamma = (Poly._raw(S, raw_scale(S, pick[i], inv)) for i in (3, 0, 1, 2))
     # exact verification back in k[x]
-    den_x = _expand_in_xp(S, den, p)
-    alpha_x, beta_x, gamma_x = (_expand_in_xp(S, n, p) for n in nums)
-    g, h = list(cov.g.c), list(cov.h.c)
-    lhs1 = raw_mul(S, den_x, list(v.g1.c))
-    rhs1 = raw_add(S, raw_mul(S, alpha_x, h), raw_mul(S, beta_x, g))
-    lhs2 = raw_mul(S, den_x, list(v.h1.c))
-    rhs2 = raw_sub(S, raw_mul(S, gamma_x, g), raw_mul(S, beta_x, h))
-    if lhs1 != rhs1 or lhs2 != rhs2:
+    zeros = [Poly.zero(S)] * (p - 1)
+    den_x, alpha_x, beta_x, gamma_x = (reassemble([c] + zeros)
+                                       for c in (den, alpha, beta, gamma))
+    g, h = cov.g, cov.h
+    if (den_x * v.g1 != alpha_x * h + beta_x * g
+            or den_x * v.h1 != gamma_x * g - beta_x * h):
         raise ArithmeticError("structure decomposition failed verification")
-    den_poly = Poly._raw(S, den)
-    return tuple((Poly._raw(S, n), den_poly) for n in nums)
-
-
-def _expand_in_xp(S, coeffs_in_X, p):
-    out = []
-    for j, c in enumerate(coeffs_in_X):
-        if c:
-            k = j * p
-            out.extend([0] * (k + 1 - len(out)))
-            out[k] = c
-    return out
+    return tuple((n, den) for n in (alpha, beta, gamma))

@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cover import (INF, Cover, _branch_divisor, _branch_shape, _pivot_inverse,
-                    _raw_postcompose)
+from .cover import INF, Cover, _branch_divisor, _branch_shape
 from .deform import DeformationVector
 from .errors import InputError, SplitBoundExceeded
 from .field import FieldElement, FieldSpec, make_field
@@ -214,23 +213,21 @@ def chart_direction(fam: Family, max_ext: int = 4):
 
     After the source change the family is the pair M(t) = (g + t w, h),
     and its chart pair is B(t)^(-1) M(t), with B(t) the coefficient block
-    at degrees d, d-1. With A = B(0)^(-1) and (gN, hN) the chart pair at
-    t = 0, the t-part is A (w - w_d gN - w_(d-1) hN, 0).
+    at degrees d, d-1. With A = B(0)^(-1), the recorded target change, and
+    (gN, hN) the chart pair at t = 0, the t-part is
+    A (w - w_d gN - w_(d-1) hN, 0).
     """
     nc = fam.at_zero().normalize(max_ext)
     S = nc.cover.spec
     d = fam.d
-    g, h, w = (raw_embed(fam.spec, S, list(P.c)) for P in (fam.g, fam.h, fam.bump))
+    h, w = (raw_embed(fam.spec, S, list(P.c)) for P in (fam.h, fam.bump))
     # the bump must not disturb the discriminant even to first order
     if raw_T(S, w, h):
         raise InputError("family discriminant is not constant to first order")
     if not nc.source_change.is_identity():
-        src = nc.source_change.codes()
-        g, h, w = (raw_mobius_substitute(S, P, d, *src) for P in (g, h, w))
-    A = _pivot_inverse(S, g, h, d, d - 1)
+        w = raw_mobius_substitute(S, w, d, *nc.source_change.codes())
+    A = nc.target_change.codes()
     gN, hN = list(nc.cover.g.c), list(nc.cover.h.c)
-    if A is None or _raw_postcompose(S, A, g, h) != (gN, hN):
-        raise ArithmeticError("chart pair of the family disagrees with the chart form")
     wd, wd1 = (w[k] if k < len(w) else 0 for k in (d, d - 1))
     r = raw_sub(S, w, raw_add(S, raw_scale(S, gN, wd), raw_scale(S, hN, wd1)))
     g1 = Poly._raw(S, raw_scale(S, r, A[0]))

@@ -666,7 +666,7 @@ def _make_field_cached(p: int, m: int) -> FieldSpec:
     return FieldSpec(p, m, modulus)
 
 
-def make_field(p: int, m: int = 1, prime_limit: int = PRIME_LIMIT) -> FieldSpec:
+def make_field(p: int, m: int = 1) -> FieldSpec:
     """Deterministically construct F_{p^m}.
 
     The modulus (for m > 1) is the lexicographically least monic
@@ -675,8 +675,8 @@ def make_field(p: int, m: int = 1, prime_limit: int = PRIME_LIMIT) -> FieldSpec:
     """
     if not isinstance(p, int) or not _is_prime(p):
         raise InputError(f"characteristic {p!r} is not prime")
-    if p > prime_limit:
-        raise InputError(f"characteristic {p} exceeds the configured limit {prime_limit}")
+    if p > PRIME_LIMIT:
+        raise InputError(f"characteristic {p} exceeds the configured limit {PRIME_LIMIT}")
     if not isinstance(m, int) or not 1 <= m <= MAX_EXT_DEGREE:
         raise InputError(f"extension degree {m!r} out of bounds 1..{MAX_EXT_DEGREE}")
     return _make_field_cached(p, m)

@@ -753,7 +753,7 @@ class Poly:
                 raise InputError("scalar from a different field")
             return Poly._raw(self.spec, raw_scale(self.spec, list(self.c), other.code))
         if isinstance(other, int):
-            return self * FieldElement(self.spec, other % self.spec.p)
+            return self * self.spec.element(other)
         other = self._check(other)
         return Poly._raw(self.spec, raw_mul(self.spec, list(self.c), list(other.c)))
 

@@ -4,7 +4,7 @@ import pytest
 
 from p1covers import (BudgetExceeded, Cover, DeformationVector, InputError,
                       Poly, brute_force_tangent, deformed_discriminant,
-                      enumerate_covers, lift_deformation, make_field,
+                      enumerate_covers, in_image, lift_deformation, make_field,
                       structure_decomposition, tangent_dim, tangent_system)
 
 F3 = make_field(3)
@@ -198,6 +198,36 @@ def test_structure_decomposition_wild_basis():
     (a_num, den), (b_num, _), (c_num, _) = structure_decomposition(NC_WILD, v0)
     assert a_num.is_zero() and b_num.is_zero()
     assert str(c_num) == "1" and den.to_str("X") == "X"
+
+
+def test_structure_decomposition_every_census_basis_vector():
+    # every xd basis vector of every class normalized inside its base field
+    # decomposes, and the verification back in k[x] holds for each
+    counts = {}
+    for p, m, degrees in ((2, 1, (2, 3, 4, 5)), (3, 1, (2, 3, 4)), (2, 2, (3,)), (3, 2, (3,))):
+        F = make_field(p, m)
+        n = 0
+        for d in degrees:
+            for cov in enumerate_covers(F, d):
+                nc = cov.normalize()
+                if nc.spec != F:
+                    continue
+                for v in tangent_dim(nc, "xd")[1]:
+                    assert structure_decomposition(nc, v) is not None
+                    n += 1
+        counts[F.order] = n
+    assert counts == {2: 1110, 3: 398, 4: 512, 9: 800}
+
+
+def test_field_mismatch_raises_input_error():
+    F5 = make_field(5)
+    with pytest.raises(InputError):
+        in_image(Poly.x(F3), Poly.parse("[u]*x^2", F9))
+    with pytest.raises(InputError):
+        in_image(Poly.x(F3), Poly.x(F5))
+    v = DeformationVector(Poly.zero(F9), Poly.x(F9))
+    with pytest.raises(InputError):
+        structure_decomposition(NC_WILD, v)
 
 
 def test_tangent_basis_verified_by_substitution():

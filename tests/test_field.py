@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from p1covers import (InputError, arith, elements, embed, frobenius, make_field,
                       FieldElement)
+from p1covers import field
 from p1covers.field import TABLE_LIMIT
 
 TABLED = [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 10)
@@ -116,14 +117,15 @@ def test_make_field_deterministic_and_interned():
     assert a.modulus == b.modulus
 
 
-def test_make_field_validation():
+def test_make_field_validation(monkeypatch):
     with pytest.raises(InputError):
         make_field(4)
     with pytest.raises(InputError):
         make_field(1)
     with pytest.raises(InputError):
-        make_field(17)          # above the default prime limit
-    make_field(17, 1, prime_limit=17)
+        make_field(17)          # above the prime limit
+    monkeypatch.setattr(field, "PRIME_LIMIT", 17)
+    make_field(17)
     with pytest.raises(InputError):
         make_field(3, 0)
     with pytest.raises(InputError):

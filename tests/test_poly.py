@@ -89,7 +89,10 @@ def test_integer_codes_checked_everywhere():
     # [0, q) otherwise; a negative code used to index the tables from the end
     assert Poly.constant(F3, -1) == Poly.monomial(F3, 0, 2) == Poly(F3, [5])
     assert FieldMatrix(F3, [[-1, 1]]).data == [[2, 1]]
+    # an int scalar is read the same way: 3 is the code of u in F_9, not 3 mod 3
+    assert Poly.one(F9) * 3 == 3 * Poly.one(F9) == Poly.constant(F9, 3)
     for build in (lambda: Poly.constant(F9, -1), lambda: Poly.monomial(F9, 2, 100),
+                  lambda: Poly.one(F9) * 100, lambda: Poly.one(F9) * -1,
                   lambda: Poly.monomial(F9, 1, FieldElement(F3, 1)),
                   lambda: Poly(F9, [0, 9]), lambda: FieldMatrix(F9, [[-1, 1]]),
                   lambda: FieldMatrix(F9, [[1, 9]])):
