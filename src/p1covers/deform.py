@@ -9,6 +9,12 @@ the span of the directions (l_i mod p) * disc(f)/(x - c_i), one slot
 eps_i per branch point c_i. Both variants are plain linear systems over
 the base field (xd) or the splitting field of the discriminant (xli).
 
+The brute-force oracle counts the solutions without the tangent matrix:
+the t-coefficient T_g(h1) + T_{g1}(h) is an h1 term plus a g1 term, so
+it computes each term once per polynomial and matches the h1 terms
+against target - (g1 term), rechecking each counted solution from the
+definition.
+
 Lifting to k[t]/(t^N) proceeds order by order: the t^r coefficient of the
 deformed discriminant is the same linear map applied to (g_r, h_r) plus a
 known polynomial assembled from lower-order corrections, so each order is
@@ -159,9 +165,11 @@ def _dual_linear_product(S, factors):
 
 def brute_force_tangent(nc: NormalizedCover, variant: str = "xd",
                         max_ext: int = 4, limit: int = BRUTE_FORCE_LIMIT) -> int:
-    """Oracle for tangent_dim: exhaustively count solutions and return
-    log_q(count). Independent of the tangent matrix: each candidate's
-    deformed discriminant is recomputed from the definition."""
+    """Oracle for tangent_dim: count the solutions (g1, h1, eps) without
+    the tangent matrix and return log_q(count). The h1 terms T_g(h1) are
+    tabled once, each g1 term T_{g1}(h) and xli target is computed once,
+    and each counted solution is rechecked from the definition. `limit`
+    bounds q^(number of unknowns), the size of the solution space."""
     ts = tangent_system(nc, variant, max_ext)
     S, g, h = ts.spec, ts.g, ts.h
     d = nc.cover.d
@@ -170,20 +178,23 @@ def brute_force_tangent(nc: NormalizedCover, variant: str = "xd",
     if q ** nvars > limit:
         raise BudgetExceeded(
             f"brute force needs {q ** nvars} trials, over the limit {limit}")
-    npoly = d - 1
+    polys = [raw_trim(list(tup)) for tup in product(range(q), repeat=d - 1)]
+    h1_by_term = {}
+    for h1 in polys:
+        h1_by_term.setdefault(tuple(raw_T(S, g, h1)), []).append(h1)
+    # xd has no branch points: one empty eps and the target 0
+    targets = [_dual_linear_product(
+        S, [(pt.code, e, l) for pt, e, l in zip(ts.points, eps, ts.lengths)])[1]
+        for eps in product(range(q), repeat=len(ts.points))]
     count = 0
-    for tup in product(range(q), repeat=nvars):
-        g1 = raw_trim(list(tup[:npoly]))
-        h1 = raw_trim(list(tup[npoly:2 * npoly]))
-        residual = _first_order_residual(S, g, h, g1, h1)
-        if variant == "xd":
-            ok = not residual
-        else:
-            eps = tup[2 * npoly:]
-            _, target = _dual_linear_product(
-                S, [(pt.code, e, l) for pt, e, l in zip(ts.points, eps, ts.lengths)])
-            ok = residual == target
-        count += ok
+    for g1 in polys:
+        g1_term = raw_T(S, g1, h)
+        for target in targets:
+            for h1 in h1_by_term.get(tuple(raw_sub(S, target, g1_term)), ()):
+                if _first_order_residual(S, g, h, g1, h1) != target:
+                    raise ArithmeticError(
+                        "a counted tangent solution fails the defining identity")
+                count += 1
     dim = 0
     c = count
     while c > 1:

@@ -1,11 +1,18 @@
 """Tangent systems, brute-force oracle, lifting, char-3 structure."""
 
+import random
+from itertools import product
+
 import pytest
 
 from p1covers import (BudgetExceeded, Cover, DeformationVector, InputError,
-                      Poly, brute_force_tangent, deformed_discriminant,
-                      enumerate_covers, in_image, lift_deformation, make_field,
-                      structure_decomposition, tangent_dim, tangent_system)
+                      Poly, SplitBoundExceeded, brute_force_tangent, census_by_disc,
+                      deformed_discriminant, enumerate_covers, in_image,
+                      lift_deformation, make_field, structure_decomposition,
+                      tangent_dim, tangent_system)
+from p1covers import deform
+from p1covers.deform import _dual_linear_product, _first_order_residual
+from p1covers.poly import raw_trim
 
 F3 = make_field(3)
 F9 = make_field(3, 2)
@@ -55,6 +62,135 @@ def test_brute_force_oracle_examples():
 def test_brute_force_limit():
     with pytest.raises(BudgetExceeded):
         brute_force_tangent(NC_WILD, "xd", limit=10)
+
+
+def reference_brute_force(nc, variant="xd", max_ext=4, limit=deform.BRUTE_FORCE_LIMIT):
+    """Reference: the oracle as one trial per candidate (g1, h1, eps),
+    each residual recomputed from the definition and compared with the
+    xli target (zero for xd)."""
+    ts = tangent_system(nc, variant, max_ext)
+    S, g, h = ts.spec, ts.g, ts.h
+    q = S.order
+    nvars = ts.matrix.ncols
+    if q ** nvars > limit:
+        raise BudgetExceeded(
+            f"brute force needs {q ** nvars} trials, over the limit {limit}")
+    npoly = nc.cover.d - 1
+    count = 0
+    for tup in product(range(q), repeat=nvars):
+        g1 = raw_trim(list(tup[:npoly]))
+        h1 = raw_trim(list(tup[npoly:2 * npoly]))
+        eps = tup[2 * npoly:]
+        _, target = _dual_linear_product(
+            S, [(pt.code, e, l) for pt, e, l in zip(ts.points, eps, ts.lengths)])
+        count += _first_order_residual(S, g, h, g1, h1) == target
+    dim = 0
+    while q ** dim < count:
+        dim += 1
+    if q ** dim != count:
+        raise ArithmeticError(f"solution count {count} is not a power of q={q}")
+    return dim
+
+
+def oracle_outcome(oracle, nc, variant, max_ext, limit):
+    """The dimension, or the refusal's type and message."""
+    try:
+        return oracle(nc, variant, max_ext, limit)
+    except (BudgetExceeded, SplitBoundExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def random_chart_covers(spec, d, rng, n):
+    """n seeded random covers of degree d over spec, chart-normalized."""
+    out = []
+    while len(out) < n:
+        g = Poly(spec, [rng.randrange(spec.order) for _ in range(d)] + [1])
+        h = Poly(spec, [rng.randrange(spec.order) for _ in range(d + 1)])
+        try:
+            cov = Cover(g, h)
+        except InputError:
+            continue
+        if cov.d == d:
+            out.append(cov.normalize())
+    return out
+
+
+def test_split_oracle_matches_reference():
+    # both variants over seven fields: the same dimension, or the same
+    # refusal at the same limit; max_ext 1 makes some xli systems refuse
+    # to split
+    rng = random.Random(15)
+    seen = set()
+    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
+        spec = make_field(p, m)
+        for d in (2, 3, 4):
+            for nc in random_chart_covers(spec, d, rng, 3):
+                for variant in ("xd", "xli"):
+                    max_ext = rng.choice((1, 4))
+                    got = oracle_outcome(brute_force_tangent, nc, variant, max_ext, 4000)
+                    assert got == oracle_outcome(reference_brute_force, nc, variant,
+                                                 max_ext, 4000), (nc.cover, variant)
+                    seen.add(got[0] if isinstance(got, tuple) else "dim")
+    assert seen == {"dim", "BudgetExceeded", "SplitBoundExceeded"}
+
+
+def test_split_oracle_work_bound(monkeypatch):
+    # the h1 and g1 terms once per polynomial (9^2 each), the discriminant
+    # of the tangent system, and two per rechecked solution (9^dim of
+    # them); one trial per candidate made 1 + 2 * 9^4 = 13,123 calls
+    nc = Cover.parse("x^3 / x^2 + 1", F9).normalize()
+    assert tangent_system(nc, "xd").matrix.ncols == 4
+    calls = 0
+    real_T = deform.raw_T
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real_T(*args)
+
+    monkeypatch.setattr(deform, "raw_T", counted)
+    dim = brute_force_tangent(nc, "xd")
+    assert dim == 1
+    assert calls <= 2 * 9 ** 2 + 1 + 2 * 9 ** dim
+
+
+def test_split_oracle_rechecks_each_solution(monkeypatch):
+    monkeypatch.setattr(deform, "_first_order_residual", lambda S, g, h, g1, h1: [1])
+    with pytest.raises(ArithmeticError, match="fails the defining identity"):
+        brute_force_tangent(NC_WILD, "xd")
+
+
+def test_oracle_agreement_whole_censuses_xd():
+    # every class whose chart lies over the base field: the oracle, the
+    # kernel and the census histogram of its discriminant agree
+    checked = 0
+    for p, m, d in ((2, 1, 5), (3, 1, 4), (2, 2, 3), (5, 1, 3)):
+        spec = make_field(p, m)
+        by_disc = {r.disc.c: r for r in census_by_disc(spec, d, points=False).records}
+        for cov in enumerate_covers(spec, d):
+            nc = cov.normalize()
+            if nc.spec != spec:
+                continue
+            dim = brute_force_tangent(nc, "xd")
+            assert dim == tangent_dim(nc, "xd")[0], cov
+            assert dim in by_disc[cov.discriminant().c].tangent_dims, cov
+            checked += 1
+    assert checked == 1821
+
+
+def test_oracle_agreement_whole_censuses_xli():
+    checked = 0
+    for p, m, d in ((3, 1, 3), (2, 2, 3), (2, 1, 4)):
+        spec = make_field(p, m)
+        for cov in enumerate_covers(spec, d):
+            nc = cov.normalize()
+            try:
+                dim = brute_force_tangent(nc, "xli")
+            except (BudgetExceeded, SplitBoundExceeded):
+                continue
+            assert dim == tangent_dim(nc, "xli")[0], cov
+            checked += 1
+    assert checked == 276      # of the 396 classes; the rest exceed the limit
 
 
 def test_oracle_agreement_all_covers_d_le_3():
