@@ -21,11 +21,13 @@ neg and inv) computes the entry. So `FieldSpec`'s ops and `poly`'s raw
 layer index one way; only this module decides which kind a field has,
 and `FieldSpec.tabled` reports it to the one caller that chooses by it,
 root finding, which scans the codes of a tabled field. Computed
-products are packed-integer products for every untabled field: each
-operand's digits packed into one int, one int multiply, and reduction by
-precomputed packed rows. Up to 2^20 elements the digits and packings
-come from caches built with `itertools.product`; above, each operand is
-packed when it is multiplied.
+products are packed-integer products: each operand's digits packed into
+one int, one int multiply, and reduction by the packed rows x^(m+k) mod
+the modulus. Every field reads a code in chunks of c base-p digits, c
+the largest with p^c <= `TABLE_LIMIT`, from one table of p^c entries
+holding each chunk's digits and packing: `decode` joins chunk digits
+(one lookup in a field of one chunk), and an operand's packing ORs its
+chunks' packings shifted into place.
 
 Text is read by one term reader (`_split_top`, `_sum_terms`), shared by
 field elements, `Poly.parse` and `Cover.parse`. Spaces are ignored. A
@@ -213,8 +215,9 @@ class FieldSpec:
     """A concrete finite field F_{p^m}; construct via make_field."""
 
     __slots__ = ("p", "m", "modulus", "order", "_mul_t", "_add_t", "_sub_t",
-                 "_neg_t", "_inv_t", "_embed_images", "_dec",
-                 "_ppow", "_pack", "_pack_bits", "_packed_red", "__weakref__")
+                 "_neg_t", "_inv_t", "_embed_images", "_ppow", "_pack_bits",
+                 "_chunk_order", "_chunks", "_chunk_shift", "_chunk_digits",
+                 "_chunk_packs", "_packed_red", "__weakref__")
 
     def __init__(self, p: int, m: int, modulus):
         self.p = p
@@ -222,30 +225,28 @@ class FieldSpec:
         self.modulus = modulus  # tuple of m+1 ints over F_p, monic; None iff m == 1
         self.order = p ** m
         self._embed_images = {}
-        self._dec = None
         self._ppow = [p ** i for i in range(m)]
-        self._pack = None
         # packing puts digits this many bits apart, which turns digit
         # convolution into one int multiply
         self._pack_bits = (2 * m * (p - 1) * (p - 1)).bit_length()
-        self._packed_red = None
+        # a code is read in chunks of c base-p digits, its base-p^c digits,
+        # with c <= m the largest that keeps p^c <= TABLE_LIMIT (at least
+        # 1); the chunk tables hold each chunk value's digits, constant
+        # first (product() runs the last position fastest), and packing
+        c = 1
+        while c < m and p ** (c + 1) <= TABLE_LIMIT:
+            c += 1
+        self._chunk_order = p ** c
+        self._chunks = -(-m // c)
+        self._chunk_shift = c * self._pack_bits
+        self._chunk_digits = [t[::-1] for t in product(range(p), repeat=c)]
+        self._chunk_packs = [self._packed(t) for t in self._chunk_digits]
+        self._packed_red = []  # row k: x^(m+k) mod the modulus over F_p
         if m > 1:
-            # rows: coefficient vector of x^(m+k) reduced mod the modulus
-            rows = []
-            base = [(-c) % p for c in modulus[:-1]]
-            rows.append(base)
-            for _ in range(m - 2):
-                prev = rows[-1]
-                nxt = [0] * m
-                for i, c in enumerate(prev):
-                    if c:
-                        if i + 1 < m:
-                            nxt[i + 1] = (nxt[i + 1] + c) % p
-                        else:
-                            for j, r in enumerate(rows[0]):
-                                nxt[j] = (nxt[j] + c * r) % p
-                rows.append(nxt)
-            self._packed_red = [self._packed(row) for row in rows]
+            from .poly import raw_rem
+            P, mod = _make_field_cached(p, 1), list(modulus)
+            self._packed_red = [self._packed(raw_rem(P, [0] * (m + k) + [1], mod))
+                                for k in range(m - 1)]
         if self.order <= TABLE_LIMIT:
             self._build_tables()
         else:
@@ -264,32 +265,30 @@ class FieldSpec:
     # -- encoding ----------------------------------------------------------
 
     def decode(self, code: int):
-        dec = self._dec
-        if dec is not None:
-            return dec[code]
-        p, m = self.p, self.m
-        digits = []
-        for _ in range(m):
-            code, r = divmod(code, p)
-            digits.append(r)
-        return tuple(digits)
-
-    def _build_decode_cache(self):
-        # digit and packed-int caches for fields too large for op tables.
-        # product() runs the last position fastest, which is the constant
-        # digit in code order, so each tuple reads high digit first
-        p, m, bits = self.p, self.m, self._pack_bits
-        self._dec = [t[::-1] for t in product(range(p), repeat=m)]
-        pack = [0]
-        for _ in range(m):
-            pack = [(x << bits) | d for x in pack for d in range(p)]
-        self._pack = pack
+        """The m digits of code, constant first: its chunks' digit tuples,
+        joined. A field of at most TABLE_LIMIT elements is one chunk."""
+        r, table = self._chunk_order, self._chunk_digits
+        digits = ()
+        for _ in range(self._chunks):
+            code, low = divmod(code, r)
+            digits += table[low]
+        return digits[:self.m]
 
     def _packed(self, digits) -> int:
         """The digits (constant first) as one int, _pack_bits apart."""
         x = 0
         for d in reversed(digits):
             x = (x << self._pack_bits) | d
+        return x
+
+    def _packed_code(self, code: int) -> int:
+        """_packed(decode(code)): its chunks' packings, OR-ed into place."""
+        r, table, step = self._chunk_order, self._chunk_packs, self._chunk_shift
+        x = shift = 0
+        while code:
+            code, low = divmod(code, r)
+            x |= table[low] << shift
+            shift += step
         return x
 
     def encode(self, digits) -> int:
@@ -356,15 +355,7 @@ class FieldSpec:
 
     def _mul_slow(self, a: int, b: int) -> int:
         p, m = self.p, self.m
-        if m == 1:
-            return (a * b) % p
-        if self._dec is None and self.order <= 1 << 20:
-            self._build_decode_cache()
-        pack = self._pack
-        if pack is not None:
-            prod = pack[a] * pack[b]
-        else:  # above 2^20 elements: no caches, pack each operand here
-            prod = self._packed(self.decode(a)) * self._packed(self.decode(b))
+        prod = self._packed_code(a) * self._packed_code(b)
         bits = self._pack_bits
         mask = (1 << bits) - 1
         for k in range(2 * m - 2, m - 1, -1):
@@ -397,20 +388,14 @@ class FieldSpec:
 
     def _add_slow(self, a: int, b: int) -> int:
         p = self.p
-        if self.m == 1:
-            return (a + b) % p
         return self.encode([(x + y) % p for x, y in zip(self.decode(a), self.decode(b))])
 
     def _sub_slow(self, a: int, b: int) -> int:
         p = self.p
-        if self.m == 1:
-            return (a - b) % p
         return self.encode([(x - y) % p for x, y in zip(self.decode(a), self.decode(b))])
 
     def _neg_slow(self, a: int) -> int:
         p = self.p
-        if self.m == 1:
-            return (-a) % p
         return self.encode([(-x) % p for x in self.decode(a)])
 
     def add(self, a: int, b: int) -> int:

@@ -1,6 +1,8 @@
 """Field construction, arithmetic, Frobenius, embeddings, text format."""
 
+import hashlib
 import random
+from array import array
 from itertools import product
 
 import pytest
@@ -319,26 +321,51 @@ def test_tables_match_slow_arithmetic(p, m, monkeypatch):
             code[tuple((x - y) % p for x, y in zip(da, db))] for db in digits]
         assert spec._mul_t[a * q:a * q + q] == [spec._mul_slow(a, b) for b in range(q)]
     if m > 1:
-        # the products above read the packed cache; now each operand is
-        # packed on the fly, as above 2^20 elements
-        assert spec._pack is not None
-        monkeypatch.setattr(spec, "_pack", None)
+        # the products above read each code as one chunk; a copy built
+        # under a zero table limit reads one digit per chunk and computes
+        # every entry
+        monkeypatch.setattr(field, "TABLE_LIMIT", 0)
+        copy = field.FieldSpec(p, m, spec.modulus)
+        assert spec._chunks == 1 and copy._chunks == m and not copy.tabled
         for a in rows:
-            assert spec._mul_t[a * q:a * q + q] == [spec._mul_slow(a, b) for b in range(q)]
+            assert spec._mul_t[a * q:a * q + q] == [copy.mul(a, b) for b in range(q)]
 
 
-@pytest.mark.parametrize("p,m", [(3, 7), (5, 6)])
+@pytest.mark.parametrize("p,m", [(3, 7), (5, 6), (7, 8), (13, 12)])
 def test_decode_caches_match_divmod_expansion(p, m):
+    # the chunk tables are each field's one digit and packing cache: every
+    # code up to 5^6 elements, above a seeded sample
     spec = make_field(p, m)
-    spec._build_decode_cache()
-    bits = spec._pack_bits
-    digits = [digit_expansion(c, p, m) for c in range(spec.order)]
-    assert spec._dec == digits
-    assert spec._pack == [sum(d << (i * bits) for i, d in enumerate(ds)) for ds in digits]
+    q, bits = spec.order, spec._pack_bits
+    if q <= 5 ** 6:
+        codes = range(q)
+    else:
+        codes = [0, q - 1, *random.Random(q).sample(range(1, q - 1), 3000)]
+    for c in codes:
+        digits = digit_expansion(c, p, m)
+        assert spec.decode(c) == digits
+        assert spec._packed_code(c) == sum(d << (i * bits) for i, d in enumerate(digits))
 
 
-@pytest.mark.parametrize("p,m,path", [(3, 7, "packed"), (2, 11, "packed"), (7, 8, "digits")])
-def test_field_axioms_untabled(p, m, path):
+def test_chunk_tables_bounded_and_tables_unchanged():
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(1, 13):
+            spec = make_field(p, m)
+            assert len(spec._chunk_digits) == len(spec._chunk_packs) <= TABLE_LIMIT
+            if spec.order <= TABLE_LIMIT:  # one chunk: the whole code
+                assert spec._chunks == 1 and len(spec._chunk_digits) == spec.order
+    # a pinned digest of the add, sub, mul, neg and inv tables of every
+    # tabled field: the digit path that builds them changes no entry
+    h = hashlib.sha256()
+    for p, m in TABLED:
+        spec = make_field(p, m)
+        for t in (spec._add_t, spec._sub_t, spec._mul_t, spec._neg_t, spec._inv_t):
+            h.update(array("H", t).tobytes())
+    assert h.hexdigest() == "07f68ed9910bf15d8b2ffaa71096b5ab2ef7931a61b45da5d4f3abd6b9ad01d0"
+
+
+@pytest.mark.parametrize("p,m", [(3, 7), (2, 11), (7, 8)])
+def test_field_axioms_untabled(p, m):
     spec = make_field(p, m)
     element = st.integers(0, spec.order - 1).map(lambda c: FieldElement(spec, c))
 
@@ -353,5 +380,4 @@ def test_field_axioms_untabled(p, m, path):
         assert frobenius(a * b) == frobenius(a) * frobenius(b)
 
     axioms()
-    assert not isinstance(spec._mul_t, list)
-    assert (spec._pack is not None) == (path == "packed")
+    assert not spec.tabled and spec._chunks > 1
