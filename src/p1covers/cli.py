@@ -107,14 +107,32 @@ def build_parser():
     return ap
 
 
+def _write(args, pieces):
+    """Write the text pieces to --out, or else to stdout."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.writelines(pieces)
+    else:
+        sys.stdout.writelines(pieces)
+
+
 def _emit(args, payload, human_lines):
     text = json.dumps(payload, indent=2, sort_keys=True) if args.json \
         else "\n".join(human_lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, [text + "\n"])
+
+
+def _census_json(summary, records):
+    """json.dumps({"records": [r.to_json() for r in records], "summary":
+    summary}, indent=2, sort_keys=True) + "\n" in pieces, one record at a
+    time: the whole document can be many times the size of the census."""
+    yield '{\n  "records": ['
+    sep = "\n    "
+    for r in records:
+        yield sep + json.dumps(r.to_json(), indent=2, sort_keys=True).replace("\n", "\n    ")
+        sep = ",\n    "
+    yield ("\n  ]" if records else "]") + ',\n  "summary": '
+    yield json.dumps(summary, indent=2, sort_keys=True).replace("\n", "\n  ") + "\n}\n"
 
 
 def _field(args):
@@ -281,9 +299,9 @@ def _cmd_census(args):
         # string keys, so that --json sorts dimensions as text
         violations = tame_violations(result.records, dim_key=str)
     summary["violations"] = violations
-    # the record list is only printed as JSON, so text output skips building it
-    records = [r.to_json() for r in result.records] if args.json else None
-    payload = {"summary": summary, "records": records}
+    if args.json:
+        _write(args, _census_json(summary, result.records))
+        return
     lines = [f"census over GF({spec.order}), degree {args.d}:",
              f"  raw planes (Gaussian binomial): {result.raw_planes}",
              f"  separable base-point-free classes: {result.total_classes}",
@@ -293,7 +311,7 @@ def _cmd_census(args):
         lines.append(f"  tangent-dimension violations: {len(violations)}")
     if result.galois_orbits is not None:
         lines.append(f"  Frobenius orbits: {result.galois_orbits}")
-    _emit(args, payload, lines)
+    _write(args, ["\n".join(lines) + "\n"])
 
 
 _COMMANDS = {

@@ -19,15 +19,20 @@ code. A larger field gets read-only stand-ins in the same five slots
 (`_Computed`, `_ComputedPair`): indexing one at `a*q + b` (at `a` for
 neg and inv) computes the entry. So `FieldSpec`'s ops and `poly`'s raw
 layer index one way; only this module decides which kind a field has,
-and `FieldSpec.tabled` reports it to the one caller that chooses by it,
-root finding, which scans the codes of a tabled field. Computed
-products are packed-integer products: each operand's digits packed into
-one int, one int multiply, and reduction by the packed rows x^(m+k) mod
-the modulus. Every field reads a code in chunks of c base-p digits, c
-the largest with p^c <= `TABLE_LIMIT`, from one table of p^c entries
-holding each chunk's digits and packing: `decode` joins chunk digits
-(one lookup in a field of one chunk), and an operand's packing ORs its
-chunks' packings shifted into place.
+and `FieldSpec.tabled` reports it to the callers that choose by it:
+root finding, which scans the codes of a tabled field, and `poly`'s
+modular powers and traces, which above the limit run on packed residues
+(`_PackedResidues`). Computed products are packed-integer products: each
+operand's digits packed into one int, one int multiply, and reduction
+by the packed rows x^(m+k) mod the modulus. A residue modulo a monic h
+of degree k over the field packs its k coefficients the same way, one
+after another, so a product in F_q[x]/(h) is one int multiply too,
+reduced by packed rows x^t mod h and the same rows mod the modulus.
+Every field reads a code in chunks of c base-p digits, c the largest
+with p^c <= `TABLE_LIMIT`, from one table of p^c entries holding each
+chunk's digits and packing: `decode` joins chunk digits (one lookup in
+a field of one chunk), and an operand's packing ORs its chunks'
+packings shifted into place.
 
 Text is read by one term reader (`_split_top`, `_sum_terms`), shared by
 field elements, `Poly.parse` and `Cover.parse`. Spaces are ignored. A
@@ -183,6 +188,14 @@ def _sum_terms(s, var):
 # ---------------------------------------------------------------------------
 
 
+def _pack(digits, bits):
+    """The digits, lowest first, as one int, bits apart."""
+    x = 0
+    for d in reversed(digits):
+        x = (x << bits) | d
+    return x
+
+
 class _Computed:
     """Read-only stand-in for the neg or inv table of a field too large to
     tabulate: t[a] computes op(a)."""
@@ -217,7 +230,7 @@ class FieldSpec:
     __slots__ = ("p", "m", "modulus", "order", "_mul_t", "_add_t", "_sub_t",
                  "_neg_t", "_inv_t", "_embed_images", "_ppow", "_pack_bits",
                  "_chunk_order", "_chunks", "_chunk_shift", "_chunk_digits",
-                 "_chunk_packs", "_packed_red", "__weakref__")
+                 "_chunk_packs", "_red_digits", "_packed_red", "__weakref__")
 
     def __init__(self, p: int, m: int, modulus):
         self.p = p
@@ -240,13 +253,13 @@ class FieldSpec:
         self._chunks = -(-m // c)
         self._chunk_shift = c * self._pack_bits
         self._chunk_digits = [t[::-1] for t in product(range(p), repeat=c)]
-        self._chunk_packs = [self._packed(t) for t in self._chunk_digits]
-        self._packed_red = []  # row k: x^(m+k) mod the modulus over F_p
+        self._chunk_packs = [_pack(t, self._pack_bits) for t in self._chunk_digits]
+        self._red_digits = []  # row k: x^(m+k) mod the modulus over F_p
         if m > 1:
             from .poly import raw_rem
             P, mod = _make_field_cached(p, 1), list(modulus)
-            self._packed_red = [self._packed(raw_rem(P, [0] * (m + k) + [1], mod))
-                                for k in range(m - 1)]
+            self._red_digits = [raw_rem(P, [0] * (m + k) + [1], mod) for k in range(m - 1)]
+        self._packed_red = [_pack(r, self._pack_bits) for r in self._red_digits]
         if self.order <= TABLE_LIMIT:
             self._build_tables()
         else:
@@ -274,15 +287,9 @@ class FieldSpec:
             digits += table[low]
         return digits[:self.m]
 
-    def _packed(self, digits) -> int:
-        """The digits (constant first) as one int, _pack_bits apart."""
-        x = 0
-        for d in reversed(digits):
-            x = (x << self._pack_bits) | d
-        return x
-
     def _packed_code(self, code: int) -> int:
-        """_packed(decode(code)): its chunks' packings, OR-ed into place."""
+        """decode(code) packed _pack_bits apart: its chunks' packings,
+        OR-ed into place."""
         r, table, step = self._chunk_order, self._chunk_packs, self._chunk_shift
         x = shift = 0
         while code:
@@ -547,6 +554,104 @@ class FieldSpec:
 
     def __hash__(self):
         return hash((self.p, self.m, self.modulus))
+
+
+class _PackedResidues:
+    """F_q[x]/(h) on packed ints, for a monic h of degree k >= 1 over a field
+    S above the table limit: digit j of coefficient i of a residue sits in
+    slot i(2m-1) + j, `bits` wide, so the 2m-1 digits of a product of two
+    coefficients fit in one coefficient's slots. A product of residues is
+    one int multiply, then each coefficient t = k, ..., 2k-2, its digits
+    reduced mod p and its u^(m+s) terms folded by the field's rows u^(m+s)
+    mod the modulus, times the packed row x^t mod h, then one pass that
+    reduces the k low coefficients the same way.
+
+    No slot sum reaches 2km(p-1)^2: a low coefficient adds at most k digit
+    convolutions from the multiply and k-1 from the rows x^t, each the sum
+    of at most m products below p^2, and the fold adds at most m-1 more
+    such products. `bits` is that bound's bit length, so no slot carries
+    into the next."""
+
+    __slots__ = ("S", "k", "bits", "width", "_mask", "_coef_mask", "_low_mask",
+                 "_fold", "_digit_shifts", "_rows")
+
+    def __init__(self, S, h):
+        p, m, k = S.p, S.m, len(h) - 1
+        self.S, self.k = S, k
+        self.bits = bits = (2 * k * m * (p - 1) ** 2).bit_length()
+        self.width = width = (2 * m - 1) * bits
+        self._mask = (1 << bits) - 1
+        self._coef_mask = (1 << width) - 1
+        self._low_mask = (1 << k * width) - 1
+        self._fold = [(s * bits, _pack(r, bits)) for s, r in enumerate(S._red_digits, m)]
+        self._digit_shifts = [j * bits for j in range(m - 1, -1, -1)]
+        # rows x^t mod h for t = k, ..., 2k-2; each is x times the last,
+        # its coefficient k folded by the first
+        rows = [self.pack([S.neg(c) for c in h[:-1]])]
+        for _ in range(k - 2):
+            last = rows[-1]
+            rows.append(self._reduce((last << width & self._low_mask)
+                                     + (last >> (k - 1) * width) * rows[0], k))
+        self._rows = rows[:k - 1]
+
+    def pack(self, codes) -> int:
+        """The residue with coefficient codes `codes`, at most k of them."""
+        S, bits, x = self.S, self.bits, 0
+        for c in reversed(codes):
+            x = (x << self.width) | _pack(S.decode(c), bits)
+        return x
+
+    def unpack(self, x):
+        """The trimmed coefficient codes of x, each slot read mod p: x may
+        be a sum of packed residues."""
+        p, mask, width, out = self.S.p, self._mask, self.width, []
+        for i in range(self.k):
+            v = x >> i * width
+            code = 0
+            for s in self._digit_shifts:
+                code = code * p + (v >> s & mask) % p
+            out.append(code)
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def _reduce(self, v, n):
+        """The n lowest coefficients of v, each slot sums of a polynomial in
+        u of degree below 2m-1, as field elements with digits below p."""
+        p, mask, bits, width = self.S.p, self._mask, self.bits, self.width
+        coef_mask, fold, shifts = self._coef_mask, self._fold, self._digit_shifts
+        x = 0
+        for i in range(n - 1, -1, -1):
+            w = v >> i * width & coef_mask
+            for s, row in fold:
+                d = (w >> s & mask) % p
+                if d:
+                    w += d * row
+            c = 0
+            for s in shifts:
+                c = (c << bits) | (w >> s & mask) % p
+            x = (x << width) | c
+        return x
+
+    def mul(self, a: int, b: int) -> int:
+        prod = a * b
+        k, width, coef_mask = self.k, self.width, self._coef_mask
+        high = self._reduce(prod >> k * width, k - 1)  # coefficients k, ..., 2k-2
+        low = prod & self._low_mask
+        for row in self._rows:
+            low += (high & coef_mask) * row
+            high >>= width
+        return self._reduce(low, k)
+
+    def pow(self, a: int, e: int) -> int:
+        if not e:
+            return 1
+        x = a
+        for bit in bin(e)[3:]:
+            x = self.mul(x, x)
+            if bit == "1":
+                x = self.mul(x, a)
+        return x
 
 
 class FieldElement:

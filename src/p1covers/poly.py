@@ -5,11 +5,15 @@ Two layers. The `raw_*` functions operate on plain lists of element codes
 (little-endian, trailing zeros trimmed, [] is the zero polynomial) and
 index the field's add/sub/mul/neg tables directly, one loop per
 operation: `field` gives a field above its table limit stand-ins that
-compute each entry, so the same loops serve every field. The census
-enumeration lives on this layer. It is the library's only polynomial
-code: `field` runs its modulus search, untabled inversion and embeddings
-on it over F_p or the target field. The `Poly` / `FieldMatrix` / `PolyMatrix` classes wrap the
-same routines behind an immutable interface.
+compute each entry, so the same loops serve every field. Two loops
+choose by `FieldSpec.tabled`: above the limit, `raw_pow_mod` and
+`_trace_mod` square and multiply residues mod h on `field`'s packed
+ints, one int product per step, instead of k^2 computed entries. The
+census enumeration lives on this layer. It is the library's only
+polynomial code: `field` runs its modulus search, untabled inversion and
+embeddings on it over F_p or the target field. The `Poly` /
+`FieldMatrix` / `PolyMatrix` classes wrap the same routines behind an
+immutable interface.
 
 Factorization strategy is deliberately elementary: squarefree
 decomposition with the characteristic-p p-th-power extraction step,
@@ -20,17 +24,20 @@ extraction works one Frobenius orbit at a time: it takes one root of each
 orbit and divides the whole orbit out. In a field with lookup tables that
 root comes from a scan of the codes that resumes where the last one
 stopped, above the table limit from the degree-1 case of the equal-degree
-split, whose splitters skip the base field's image: they take one value on
-a whole orbit. `raw_sqf_roots` does it from a squarefree list that the caller
-already has; `roots_with_multiplicity` is its `Poly` wrapper. Matrix
-ranks over the rational function field k(X) use fraction-free elimination
-so no general rational-function type is ever needed.
+split, whose splitters skip the base field's image, the codes with
+c^|base| = c: they take one value on a whole orbit. Its modular powers
+and traces run on packed residues. `raw_sqf_roots` does it from a
+squarefree list that the caller already has; `roots_with_multiplicity`
+is its `Poly` wrapper. Matrix ranks over the rational function field
+k(X) use fraction-free elimination so no general rational-function type
+is ever needed.
 """
 
 from __future__ import annotations
 
 from .errors import InputError
-from .field import MAX_EXT_DEGREE, FieldElement, FieldSpec, _sum_terms, make_field
+from .field import (MAX_EXT_DEGREE, FieldElement, FieldSpec, _PackedResidues, _sum_terms,
+                    make_field)
 
 # ---------------------------------------------------------------------------
 # raw layer: coefficient lists of codes
@@ -187,6 +194,9 @@ def raw_shift(a, k):
 
 
 def raw_pow_mod(S, base, e, mod):
+    if not S.tabled and len(mod) > 1:
+        R = _PackedResidues(S, raw_monic(S, mod))
+        return R.unpack(R.pow(R.pack(raw_rem(S, base, mod)), e))
     result = raw_rem(S, [1], mod) if len(mod) == 1 else [1]
     base = raw_rem(S, list(base), mod)
     while e:
@@ -303,38 +313,43 @@ def raw_ddf(S, f, cap=None):
                 b = raw_rem(S, b, rem)
 
 
-def _splitters(S, h, k, skip=()):
+def _splitters(S, h, k, base=None):
     """Cantor-Zassenhaus splitters of h, a monic product of distinct
     irreducibles of degree k, in a fixed order. For odd p the splitter of
     a is a^((q^k-1)/2) - 1, with a = x + c for c = 0, 1, ... and then the
     monic polynomials of each higher degree; for p = 2 it is the trace
     a + a^2 + ... + a^(2^(mk-1)), with a = b x for b = 1, 2, ... and then
     b x^t plus lower terms without a constant. Every proper split of h
-    is reached by some a of degree below deg h. The codes in skip are
-    left out as c or b of degree 1: _split_root skips a subfield's image
-    there, whose candidates cannot split one orbit over that subfield."""
+    is reached by some a of degree below deg h. With base, a subfield of
+    S, the c or b of degree 1 in base's image, the prime field's codes
+    c < p and the others with c^|base| = c, are left out: _split_root
+    passes the subfield over which h is one orbit, and their splitters
+    cannot split it."""
     q = S.order
 
     def lows(t):                # all coefficient lists of length t, lazily
         for n in range(q ** t):
             yield [n // q ** i % q for i in range(t)]
 
+    def kept(t, c):
+        return t > 1 or base is None or (c >= S.p and S.pow_code(c, base.order) != c)
+
     for t in range(1, len(h) - 1):
         if S.p != 2:
             e = (q ** k - 1) // 2
             for low in lows(t):
-                if t > 1 or low[0] not in skip:
+                if kept(t, low[0]):
                     yield raw_sub(S, raw_pow_mod(S, [*low, 1], e, h), [1])
         else:
             for b in range(1, q):
-                if t > 1 or b not in skip:
+                if kept(t, b):
                     for low in lows(t - 1):
                         yield _trace_mod(S, [0, *low, b], h, S.m * k)
 
 
-def _split_once(S, h, k, skip=()):
+def _split_once(S, h, k, base=None):
     """The first proper monic factor gcd(splitter, h) in _splitters' order."""
-    for s in _splitters(S, h, k, skip):
+    for s in _splitters(S, h, k, base):
         g = raw_gcd(S, s, h)
         if 1 < len(g) < len(h):
             return g
@@ -375,16 +390,24 @@ def _split_root(S, f, base=None):
     b in base takes one value on a whole orbit, so the image of base is
     skipped among the degree-1 candidates.
     """
-    skip = {S.embed_code(c, base) for c in range(base.order)} if base is not None else ()
     h = raw_monic(S, f)
     while len(h) > 2:
-        g = _split_once(S, h, 1, skip)
+        g = _split_once(S, h, 1, base)
         h = g if len(g) - 1 <= (len(h) - 1) // 2 else raw_quo_exact(S, h, g)
     return S.neg(h[0])
 
 
 def _trace_mod(S, a, h, terms):
-    """a + a^2 + a^4 + ... + a^(2^(terms-1)) mod h, over S = F_{2^m}."""
+    """a + a^2 + a^4 + ... + a^(2^(terms-1)) mod h, over S = F_{2^m}. Above
+    the table limit the sum stays packed and is reduced once: with
+    terms <= 2 m deg h no digit sum outgrows its slot."""
+    if not S.tabled and len(h) > 1:
+        R = _PackedResidues(S, raw_monic(S, h))
+        x, acc = R.pack(raw_rem(S, a, h)), 0
+        for _ in range(terms):
+            acc += x
+            x = R.mul(x, x)
+        return R.unpack(acc)
     acc = []
     for _ in range(terms):
         acc = raw_add(S, acc, a)

@@ -173,6 +173,30 @@ def test_census_text_builds_no_json_records(capsys, monkeypatch):
     assert "records (distinct discriminants)" in out2
 
 
+def test_census_json_streams_the_whole_document(tmp_path, capsys):
+    # the record-by-record writer gives the bytes of one json.dumps of the
+    # whole payload, on stdout and in --out, and for an empty record list
+    from p1covers.census import census_by_disc, tame_violations
+    from p1covers.cli import _census_json
+    result = census_by_disc(F3, 3, points=True)
+    summary = result.summary()
+    summary["violations"] = tame_violations(result.records, dim_key=str)
+
+    def whole(records):
+        payload = {"summary": summary, "records": [r.to_json() for r in records]}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    assert result.records
+    for records in (result.records, result.records[:1], ()):
+        assert "".join(_census_json(summary, records)) == whole(records)
+    out_file = tmp_path / "census.json"
+    code, out, _ = run(capsys, "census", "--p", "3", "--d", "3", "--points", "--json")
+    code2, out2, _ = run(capsys, "census", "--p", "3", "--d", "3", "--points", "--json",
+                         "--out", str(out_file))
+    assert code == code2 == 0 and out2 == ""
+    assert out == out_file.read_text() == whole(result.records)
+
+
 def test_census_threads_match(capsys):
     code1, out1, _ = run(capsys, "census", "--p", "3", "--d", "3", "--json")
     code2, out2, _ = run(capsys, "census", "--p", "3", "--d", "3", "--json",

@@ -9,6 +9,7 @@ from p1covers import (Cover, FieldElement, FieldMatrix, InputError, Poly, PolyMa
                       kernel_basis, make_field, poly_arith, poly_gcd,
                       rank_over_kX, roots_with_multiplicity)
 from p1covers.cli import main
+from p1covers.poly import raw_add, raw_mul, raw_pow_mod, raw_rem
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -352,8 +353,9 @@ def test_raw_layer_agrees_without_tables(p, m, monkeypatch):
     # the same raw loops on a tabled field and on a copy of it built above
     # the table limit, whose stand-ins compute every entry
     from p1covers import field
-    from p1covers.poly import (raw_axpy, raw_divrem, raw_eval, raw_factor_sqf, raw_gcd,
-                               raw_kernel, raw_mul, raw_rank, raw_rref, raw_sqf_list)
+    from p1covers.poly import (_trace_mod, raw_axpy, raw_divrem, raw_eval, raw_factor_sqf,
+                               raw_gcd, raw_kernel, raw_mul, raw_pow_mod, raw_rank, raw_rref,
+                               raw_sqf_list)
     T = make_field(p, m)
     make_field(p)  # interned with its tables before the limit drops
     monkeypatch.setattr(field, "TABLE_LIMIT", 0)
@@ -378,6 +380,13 @@ def test_raw_layer_agrees_without_tables(p, m, monkeypatch):
         assert raw_sqf_list(S, f) == raw_sqf_list(T, f)
         for fac, _ in raw_sqf_list(T, ac):
             assert raw_factor_sqf(S, fac) == raw_factor_sqf(T, fac)
+        # the untabled copy powers on packed residues, the tabled field by
+        # raw_mul and raw_rem
+        e = rng.choice([0, 1, 2, T.order, rng.randrange(1 << 24)])
+        assert raw_pow_mod(S, a, e, c) == raw_pow_mod(T, a, e, c)
+        assert raw_pow_mod(S, b, e, ac) == raw_pow_mod(T, b, e, ac)
+        r, terms = raw_rem(T, a, c), S.m * (len(c) - 1)  # callers pass a reduced a
+        assert _trace_mod(S, r, c, terms) == _trace_mod(T, r, c, terms)
     for _ in range(12):
         nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 7)
         rows = [[rng.randrange(T.order) for _ in range(ncols)] for _ in range(nrows)]
@@ -389,6 +398,55 @@ def test_raw_layer_agrees_without_tables(p, m, monkeypatch):
         assert raw_rank(S, rows, ncols) == raw_rank(T, rows, ncols)
         assert raw_rref(S, rows, ncols) == raw_rref(T, rows, ncols)
         assert raw_kernel(S, rows, ncols) == raw_kernel(T, rows, ncols)
+
+
+def _pow_mod_by_raw_mul(S, base, e, mod):
+    # plain square-and-multiply on the raw layer, the packed kernel's oracle
+    result, base = raw_rem(S, [1], mod), raw_rem(S, list(base), mod)
+    while e:
+        if e & 1:
+            result = raw_rem(S, raw_mul(S, result, base), mod)
+        base = raw_rem(S, raw_mul(S, base, base), mod)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p,m,degrees", [
+    (7, 4, range(1, 11)), (7, 8, (1, 2, 4, 6)), (3, 8, (1, 2, 3, 7)),
+    (2, 12, (1, 2, 4, 8)), (5, 6, (1, 3, 5, 9)), (13, 12, (1, 2, 5))])
+def test_packed_pow_mod_matches_square_and_multiply(p, m, degrees):
+    # above the table limit raw_pow_mod and _trace_mod run on packed
+    # residues; moduli monic and not, bases of degree at least the modulus's
+    from p1covers.poly import _trace_mod
+    S = make_field(p, m)
+    q = S.order
+    assert not S.tabled
+    rng = random.Random(p ** m)
+    for k in degrees:
+        h = [rng.randrange(q) for _ in range(k)] + [1 if k % 2 else rng.randrange(2, q)]
+        base = [rng.randrange(q) for _ in range(k + rng.randrange(4))] + [rng.randrange(1, q)]
+        for e in (0, 1, 2, q, (q ** k - 1) // 2):
+            assert raw_pow_mod(S, base, e, h) == _pow_mod_by_raw_mul(S, base, e, h), (k, e)
+        want, a = [], raw_rem(S, base, h)
+        for _ in range(m * k):
+            want, a = raw_add(S, want, a), raw_rem(S, raw_mul(S, a, a), h)
+        assert _trace_mod(S, base, h, m * k) == want
+
+
+def test_packed_residue_slots_hold_the_largest_sums():
+    # p = 13, m = 12, k = 10, the largest case: the slot width holds the
+    # bound on a slot sum, and a product of residues whose digits are all
+    # p - 1, modulo a modulus whose digits are too, comes out right
+    from p1covers.field import _PackedResidues
+    p, m, k = 13, 12, 10
+    S = make_field(p, m)
+    top = S.order - 1                                  # every digit p - 1
+    h = [top] * k + [1]
+    R = _PackedResidues(S, h)
+    assert (2 * k - 1) * m * (p - 1) ** 2 + (m - 1) * (p - 1) ** 2 < 1 << R.bits
+    assert R.width == (2 * m - 1) * R.bits
+    a = [top] * k
+    assert R.unpack(R.mul(R.pack(a), R.pack(a))) == raw_rem(S, raw_mul(S, a, a), h)
 
 
 @pytest.mark.parametrize("p,m,r", [(13, 1, 3), (2, 1, 12), (5, 2, 3)])
