@@ -7,14 +7,24 @@ pivot must sit in the x^d column (base-point-freeness at infinity), g and
 h must be coprime (no finite base point) and h g' - g h' must not vanish
 (separability).
 
-A census is one pass over the echelon forms, all over F_q. Precomposing
-with x -> ax, a in F_q^*, maps each pivot pattern's slice to itself and
-keeps coprimality, separability, the length structure and the tangent
-dimension; it sends the monic discriminant D to monic(D(ax)). So the
-scan takes one class per orbit of this scaling. An orbit has s classes,
-s a divisor of q - 1, with s = q - 1 for most classes (always s = 1 over
-F_2). The other classes of a scanned class's orbit get their
-discriminant keys by substitution and share its tangent dimension.
+A census is one pass over the echelon forms, all over F_q, one class per
+orbit of the affine maps x -> ax + b where a translation section exists
+(below) and per orbit of x -> ax elsewhere. Precomposing with x -> ax, a in
+F_q^*, maps each pivot pattern's slice to itself and keeps coprimality,
+separability, the length structure and the tangent dimension; it sends
+the monic discriminant D to monic(D(ax)). An orbit of this scaling has s
+classes, s a divisor of q - 1, with s = q - 1 for most classes (always
+s = 1 over F_2). Precomposing with x -> x + b keeps deg g and deg h, so
+after g is re-echelonized against h it stays in the slice too, with the
+same tangent dimension and the discriminant D(x + b). Where a
+translation moves one cell by a nonzero multiple of b alone, the scan
+keeps that cell at 0, a section that each translation orbit meets once:
+g's x^(d-1) cell when h has degree below d - 1 and p does not divide d,
+else the first h cell that a translation moves, when it moves by a
+multiple of b alone (_moving_cell). A scanned class then stands
+for its t = q translates and their scaling images, t s classes; without
+a section t = 1. The other classes of a scanned class's affine orbit get
+their discriminant keys by substitution and share its tangent dimension.
 
 The scan works one g row at a time, and everything that depends on g
 alone is done once per scan task: a g row lies in every slice where
@@ -130,25 +140,61 @@ def _orbit_starts(log, weights, s=1):
     return out
 
 
-def _g_starts(log, d, c2):
+def _free_g(p, d, c2):
+    """The free cells of the g row, pivots at (0, c2). Column 1 is free
+    when c2 >= 2, and a translation x -> x + b adds d b to it: when p does
+    not divide d, the section fixes it at 0."""
+    return [j for j in range(1, d + 1) if j != c2 and not (j == 1 and d % p)]
+
+
+def _g_starts(log, d, c2, p):
     """_orbit_starts of the free cells of the g row, pivots at (0, c2)."""
-    return _orbit_starts(log, [-j for j in range(1, d + 1) if j != c2])
+    return _orbit_starts(log, [-j for j in _free_g(p, d, c2)])
+
+
+def _moving_cell(p, hvals):
+    """The index in hvals of the h cell that a translation x -> x + b moves
+    by a nonzero multiple of b alone, or None; hvals holds h_(e-1), ...,
+    h_0 of a monic h of degree e. The coefficient of x^(e-j) in h(x + b)
+    is h_(e-j) + sum over i = 1..j of C(e-j+i, i) h_(e-j+i) b^i. At the
+    first j whose sum has a nonzero b-term, the cell moves by a multiple
+    of b alone when only the term i = 1 is nonzero; the cells above do
+    not move. The answer reads only which cells above j are nonzero."""
+    e = len(hvals)
+    h = (1,) + tuple(hvals)            # h[k] = h_(e-k)
+    for j in range(1, e + 1):
+        terms = [i for i in range(1, j + 1) if h[j - i] and math.comb(e - j + i, i) % p]
+        if terms:
+            return j - 1 if terms == [1] else None
+    return None
 
 
 def _admissible(S, d, c2, log, memo, part=0, parts=1):
-    """Raw (g, h, disc, s), one admissible echelon matrix with pivots at
-    columns (0, c2) per orbit of the scaling x -> γ^k x; disc = h g' - g h'
-    and s is the orbit size. Only the g rows at positions part, part +
-    parts, part + 2 parts, ... of _g_starts are scanned, so the parts of
-    a split together scan the slice once. `log` comes from _scaling;
-    `memo` holds the _g_row data of the g rows already seen, so slices
-    that share a g row build it once.
+    """Raw (g, h, disc, s, t), one admissible echelon matrix with pivots at
+    columns (0, c2) per orbit of the affine maps x -> γ^k x + b where a
+    translation section exists, else per orbit of x -> γ^k x; disc =
+    h g' - g h', s is the size of the class's scaling orbit and t the
+    number of its translates, q or 1. Only the g rows at positions part,
+    part + parts, part + 2 parts, ... of _g_starts are scanned, so the
+    parts of a split together scan the slice once. `log` comes from
+    _scaling; `memo` holds the _g_row data of the g rows already seen, so
+    slices that share a g row build it once.
 
     Column j holds the coefficient of x^(d-j). With the pivots put back
     to 1, the scaling multiplies g_j by γ^(-k j) and h_j by γ^(k (c2-j)),
-    so it stays in the slice and keeps coprimality and separability. The
-    orbit's classes are the images k < s, each exactly once. Free cells
-    run in the fixed element order, the h row fastest.
+    so it stays in the slice and keeps coprimality and separability. A
+    translation keeps deg g and deg h, so it stays in the slice too once
+    g is re-echelonized, g - λh; T_(g-λh)(h) = T_g(h), so it maps the
+    monic discriminant D to D(x + b). Where a translation moves one cell
+    by a nonzero multiple of b alone, the scan keeps that cell at 0, a
+    section that meets each translation orbit once: g's column 1 when
+    c2 >= 2 and p does not divide d (_free_g), else the h cell of
+    _moving_cell, when there is one. There t = q; elsewhere t = 1. The
+    sections depend on which cells are zero, so the scaling keeps them,
+    and _orbit_starts stays a transversal of its orbits. The classes of
+    a yielded class's orbit, t s of them, are its translates' scaling
+    images, each exactly once. Free cells run in the fixed element
+    order, the h row fastest.
 
     For a fixed g row, h -> (T_g(h), h mod P for each monic irreducible
     factor P of g) is affine in the free h cells, with the rows of _g_row
@@ -156,25 +202,31 @@ def _admissible(S, d, c2, log, memo, part=0, parts=1):
     changed cell, the last cell most of the time. A zero residue block
     means a shared factor, a zero discriminant an inseparable plane.
     """
-    free_g = [j for j in range(1, d + 1) if j != c2]
+    p, q = S.p, S.order
+    free_g = _free_g(p, d, c2)
+    g_section = c2 > 1 and d % p != 0
     free_h = list(range(c2 + 1, d + 1))
     n = 2 * d - 1
-    h_rows = {}         # stabilizer step -> [(h, h cells, orbit size, first changed cell)]
-    for gvals, sg in _g_starts(log, d, c2)[part::parts]:
+    h_rows = {}         # stabilizer step -> [(h, h cells, s, t, first changed cell)]
+    for gvals, sg in _g_starts(log, d, c2, p)[part::parts]:
         g = _row(d, 0, free_g, gvals)
         hs = h_rows.get(sg)
         if hs is None:
             hs = h_rows[sg] = []
             last = ()
             for hvals, s in _orbit_starts(log, [c2 - j for j in free_h], sg):
+                cell = None if g_section else _moving_cell(p, hvals)
+                if cell is not None and hvals[cell]:
+                    continue                        # off the section
                 changed = next((i for i, (u, v) in enumerate(zip(hvals, last)) if u != v),
                                len(last))
-                hs.append((_row(d, c2, free_h, hvals), hvals, s, changed))
+                t = q if g_section or cell is not None else 1
+                hs.append((_row(d, c2, free_h, hvals), hvals, s, t, changed))
                 last = hvals
         rows, blocks, _ = _g_row(S, g, d, memo)
         cells = [rows[d - j] for j in free_h]
         acc = [rows[d - c2]] * (len(cells) + 1)     # acc[i + 1]: base plus cells 0..i
-        for h, hvals, s, changed in hs:
+        for h, hvals, s, t, changed in hs:
             for i in range(changed, len(cells)):
                 c = hvals[i]
                 acc[i + 1] = raw_axpy(S, acc[i], c, cells[i]) if c else acc[i]
@@ -182,7 +234,7 @@ def _admissible(S, d, c2, log, memo, part=0, parts=1):
             if all(any(vec[lo:hi]) for lo, hi in blocks):
                 disc = raw_trim(vec[:n])
                 if disc:
-                    yield g, h, disc, s
+                    yield g, h, disc, s, t
 
 
 def _g_row(S, g, d, memo):
@@ -241,15 +293,42 @@ def _check_budget(spec, d, budget):
 
 def enumerate_covers(spec: FieldSpec, d: int, budget: int = DEFAULT_BUDGET):
     """One validated Cover per equivalence class, in a deterministic order:
-    each scanned class followed by the rest of its scaling orbit."""
+    each scanned class followed by the rest of its affine orbit, translate
+    by translate (g re-echelonized against h), each translate followed by
+    its scaling images."""
     _check_budget(spec, d, budget)
     exp, log = _scaling(spec, d)
     memo = {}
     for c2 in range(1, d + 1):
-        for g, h, _, s in _admissible(spec, d, c2, log, memo):
-            for gk, hk in zip(_images(exp, log, g, s), _images(exp, log, h, s)):
-                yield Cover(Poly._raw(spec, raw_monic(spec, gk)),
-                            Poly._raw(spec, raw_monic(spec, hk)))
+        for g, h, _, s, t in _admissible(spec, d, c2, log, memo):
+            for b in range(t):
+                hb = _translate(spec, h, b)
+                gb = _translate(spec, g, b)
+                gb = raw_axpy(spec, gb, spec.neg(gb[len(hb) - 1]), _padded(hb, len(gb)))
+                for gk, hk in zip(_images(exp, log, gb, s), _images(exp, log, hb, s)):
+                    yield Cover(Poly._raw(spec, raw_monic(spec, gk)),
+                                Poly._raw(spec, raw_monic(spec, hk)))
+
+
+def _monic_images(exp, log, a, s):
+    """monic(a(γ^k x)) for k = 0, 1, ..., s - 1, as tuples, for a monic
+    raw a of degree n below 2d: coefficient i times γ^(-k (n-i))."""
+    n, N = len(a) - 1, len(log) - 1
+    return [tuple(exp[(log[c] - k * (n - i)) % N] if c else 0 for i, c in enumerate(a))
+            for k in range(s)]
+
+
+def _translate(S, a, b):
+    """a(x + b) for raw a, by repeated synthetic division: a list of the
+    same length, with the same leading coefficient."""
+    a = list(a)
+    if b:
+        mt, at, q = S._mul_t, S._add_t, S.order
+        row = b * q
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] = at[a[j] * q + mt[row + a[j + 1]]]
+    return a
 
 
 def _chart_block(S, g, d, dh, memo):
@@ -299,39 +378,47 @@ def _scan_chunk(args):
 
     Each scanned class gets one tangent rank, against its g row's
     _chart_block, built when the row changes; the other classes of its
-    orbit get their keys by substituting x -> γ^k x into the discriminant
-    and share its dimension. The least of these keys is the orbit's first
-    key, with link None; every other key links to it as (first, j), j the
-    least exponent with monic(first(γ^j x)) = key. So a link depends on
-    its key alone, never on the scan order or the split into parts.
+    affine orbit get their keys by substituting x -> x + b, for each of
+    its t translates, and then x -> γ^k x, k < s, into the discriminant,
+    and share its dimension. The least key of a key's scaling orbit is
+    its first key, with link None; every other key links to it as
+    (first, j), j the least exponent with monic(first(γ^j x)) = key. So a
+    link depends on its key alone, never on the scan order or the split
+    into parts. A translate's s keys cover the orbit of its keys when
+    s = q - 1 or b = 0 (a scaling that fixes the class fixes its key);
+    otherwise the orbit comes from _monic_images.
     """
     p, m, d, part, parts, with_tangent = args
     S = make_field(p, m)
     exp, log = _scaling(S, d)
+    full = S.order - 1
     table = {}
     memo = {}
     for c2 in range(1, d + 1):
         row = block = dim = None
-        for g, h, disc, s in _admissible(S, d, c2, log, memo, part, parts):
+        for g, h, disc, s, t in _admissible(S, d, c2, log, memo, part, parts):
             if with_tangent:
                 if g is not row:
                     row, block = g, _chart_block(S, g, d, d - c2, memo)
                 dim = _tangent_dim_raw(S, block, h)
-            keys = [tuple(raw_monic(S, img)) for img in _images(exp, log, disc, s)]
-            first = min(keys)
-            k0 = keys.index(first)
-            period = s // keys.count(first)         # size of the orbit of keys
-            for k, key in enumerate(keys):
-                rec = table.get(key)
-                if rec is None:
-                    j = (k - k0) % period
-                    table[key] = [1, {dim: 1} if with_tangent else {},
-                                  (first, j) if j else None]
-                else:
-                    rec[0] += 1
-                    if with_tangent:
-                        dims = rec[1]
-                        dims[dim] = dims.get(dim, 0) + 1
+            for b in range(t):
+                imgs = _images(exp, log, _translate(S, disc, b) if b else disc, s)
+                keys = [tuple(raw_monic(S, img)) for img in imgs]
+                orbit = keys if s == full or not b else _monic_images(exp, log, keys[0], full)
+                first = min(orbit)
+                k0 = orbit.index(first)
+                period = len(orbit) // orbit.count(first)   # size of the orbit of keys
+                for k, key in enumerate(keys):
+                    rec = table.get(key)
+                    if rec is None:
+                        j = (k - k0) % period
+                        table[key] = [1, {dim: 1} if with_tangent else {},
+                                      (first, j) if j else None]
+                    else:
+                        rec[0] += 1
+                        if with_tangent:
+                            dims = rec[1]
+                            dims[dim] = dims.get(dim, 0) + 1
     return table
 
 

@@ -35,6 +35,8 @@ is ever needed.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import InputError
 from .field import (MAX_EXT_DEGREE, FieldElement, FieldSpec, _PackedResidues, _sum_terms,
                     make_field)
@@ -197,13 +199,14 @@ def raw_pow_mod(S, base, e, mod):
     if not S.tabled and len(mod) > 1:
         R = _PackedResidues(S, raw_monic(S, mod))
         return R.unpack(R.pow(R.pack(raw_rem(S, base, mod)), e))
-    result = raw_rem(S, [1], mod) if len(mod) == 1 else [1]
     base = raw_rem(S, list(base), mod)
-    while e:
-        if e & 1:
+    if not e:
+        return raw_rem(S, [1], mod)
+    result = base               # left to right: one square per bit below the top
+    for bit in bin(e)[3:]:
+        result = raw_rem(S, raw_mul(S, result, result), mod)
+        if bit == "1":
             result = raw_rem(S, raw_mul(S, result, base), mod)
-        base = raw_rem(S, raw_mul(S, base, base), mod)
-        e >>= 1
     return result
 
 
@@ -318,13 +321,13 @@ def _splitters(S, h, k, base=None):
     irreducibles of degree k, in a fixed order. For odd p the splitter of
     a is a^((q^k-1)/2) - 1, with a = x + c for c = 0, 1, ... and then the
     monic polynomials of each higher degree; for p = 2 it is the trace
-    a + a^2 + ... + a^(2^(mk-1)), with a = b x for b = 1, 2, ... and then
-    b x^t plus lower terms without a constant. Every proper split of h
-    is reached by some a of degree below deg h. With base, a subfield of
-    S, the c or b of degree 1 in base's image, the prime field's codes
-    c < p and the others with c^|base| = c, are left out: _split_root
-    passes the subfield over which h is one orbit, and their splitters
-    cannot split it."""
+    a + a^2 + ... + a^(2^(mk-1)), with a = b x for b = u^j, j < m, and
+    then the other b = 1, 2, ..., and then b x^t plus lower terms without
+    a constant. Every proper split of h is reached by some a of degree
+    below deg h. With base, a subfield of S, the c or b of degree 1 in
+    base's image, the prime field's codes c < p and the others with
+    c^|base| = c, are left out: _split_root passes the subfield over which
+    h is one orbit, and their splitters cannot split it."""
     q = S.order
 
     def lows(t):                # all coefficient lists of length t, lazily
@@ -341,7 +344,10 @@ def _splitters(S, h, k, base=None):
                 if kept(t, low[0]):
                     yield raw_sub(S, raw_pow_mod(S, [*low, 1], e, h), [1])
         else:
-            for b in range(1, q):
+            # for t = 1 the codes 2^j = u^j come first: the trace is F_2-linear
+            # in b, so one of them splits a product of distinct linear factors
+            powers = [1 << j for j in range(S.m)] if t == 1 else []
+            for b in itertools.chain(powers, (b for b in range(1, q) if b not in powers)):
                 if kept(t, b):
                     for low in lows(t - 1):
                         yield _trace_mod(S, [0, *low, b], h, S.m * k)
@@ -409,6 +415,7 @@ def _trace_mod(S, a, h, terms):
             x = R.mul(x, x)
         return R.unpack(acc)
     acc = []
+    a = raw_rem(S, a, h)
     for _ in range(terms):
         acc = raw_add(S, acc, a)
         a = raw_rem(S, raw_mul(S, a, a), h)

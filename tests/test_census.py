@@ -14,8 +14,8 @@ from p1covers.census import (_admissible, _chart_block, _class_total, _images,
                              _tangent_dim_raw)
 from p1covers.deform import _columns_to_rows, _tangent_columns_raw
 from p1covers.field import FieldElement
-from p1covers.poly import (raw_deriv, raw_gcd, raw_monic, raw_mul, raw_rank, raw_rref,
-                           raw_sqf_list, raw_sub, raw_trim)
+from p1covers.poly import (raw_add, raw_deriv, raw_gcd, raw_monic, raw_mul, raw_rank,
+                           raw_rref, raw_scale, raw_sqf_list, raw_sub, raw_trim)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -413,38 +413,62 @@ def reference_tangent_dim(S, g, h, d, disc):
     return n - raw_rank(S, _columns_to_rows(cols, n), n)
 
 
-def orbit(exp, log, S, a, s):
-    """The monic images a(γ^k x), k < s, as tuples."""
-    return [tuple(raw_monic(S, img)) for img in _images(exp, log, a, s)]
+def orbit(S, a, s):
+    """The monic images a(γ^k x), k < s, as tuples, by field products."""
+    powers = S._primitive_powers()
+    n = S.order - 1
+    return [tuple(raw_monic(S, [S.mul(c, powers[k * i % n]) for i, c in enumerate(a)]))
+            for k in range(s)]
+
+
+def translated(S, a, b):
+    """a(x + b) by Horner's rule on the raw layer."""
+    out = []
+    for c in reversed(a):
+        out = raw_add(S, raw_mul(S, out, [b, 1]), [c])
+    return out
 
 
 def counts_and_dims(table):
     return {key: [rec[0], rec[1]] for key, rec in table.items()}
 
 
-def assert_links_canonical(spec, d, table):
+def assert_links_canonical(spec, table):
     # a link names the least key of its orbit, whose own link is None, and
     # the least scaling that reaches the key from it
-    exp, log = _scaling(spec, d)
     n = spec.order - 1
     for key, (_, _, link) in table.items():
-        keys = orbit(exp, log, spec, key, n) if n > 1 else [key]
+        keys = orbit(spec, key, n)
         if link is None:
             assert key == min(keys)
         else:
             first, k = link
             assert first == min(keys) and table[first][2] is None
-            assert orbit(exp, log, spec, first, k + 1)[k] == key
-            assert key not in orbit(exp, log, spec, first, k)
+            assert orbit(spec, first, k + 1)[k] == key
+            assert key not in orbit(spec, first, k)
 
 
+def expand_class(S, g, h, s, t):
+    """The t s classes that a yielded class stands for: its translates by
+    b < t, g re-echelonized against h, and their images under the scaling."""
+    out = []
+    for b in range(t):
+        hb, gb = translated(S, h, b), translated(S, g, b)
+        gb = raw_trim(raw_sub(S, gb, raw_scale(S, hb, gb[len(hb) - 1])))
+        out += zip(orbit(S, gb, s), orbit(S, hb, s))
+    return out
+
+
+# the sections: g's column 1 (F_3 d = 4 at c2 >= 2, F_5 d = 3, F_2 d = 5),
+# a linear h cell (F_9 d = 3, F_3 d = 4 at c2 = 1 with h_2 != 0), and no
+# section (F_8 d = 3 at c2 = 1, the b^2 term)
 @pytest.mark.parametrize("spec,d", [(spec, d) for spec in (F3, F4, F5, F7, F8, F9)
-                                    for d in (1, 2, 3)] + [(F4, 4), (F5, 4)])
+                                    for d in (1, 2, 3)] + [(F4, 4), (F5, 4), (F3, 4), (F2, 5)])
 def test_scaling_transversal_matches_full_scan(spec, d):
-    exp, log = _scaling(spec, d)
+    _, log = _scaling(spec, d)
     reference, expanded = [], []
     ref_table = {}
-    orbit_sizes = 0
+    orbit_sizes = sectioned = 0
     for c2 in range(1, d + 1):
         for g, h, disc in full_slice(spec, d, c2):
             reference.append((tuple(g), tuple(h)))
@@ -452,15 +476,66 @@ def test_scaling_transversal_matches_full_scan(spec, d):
             rec[0] += 1
             dim = reference_tangent_dim(spec, g, h, d, disc)
             rec[1][dim] = rec[1].get(dim, 0) + 1
-        for g, h, disc, s in _admissible(spec, d, c2, log, {}):
-            orbit_sizes += s
-            expanded.extend(zip(orbit(exp, log, spec, g, s), orbit(exp, log, spec, h, s)))
+        for g, h, disc, s, t in _admissible(spec, d, c2, log, {}):
+            assert t in (1, spec.order)
+            orbit_sizes += s * t
+            sectioned += t > 1
+            expanded += expand_class(spec, g, h, s, t)
     assert len(set(expanded)) == len(expanded)       # each class exactly once
     assert set(expanded) == set(reference)
     assert orbit_sizes == len(reference) == _class_total(spec.p, spec.m, d)
+    assert sectioned or d == 1                      # some slice has a section
     table = _scan_chunk((spec.p, spec.m, d, 0, 1, True))
     assert counts_and_dims(table) == ref_table
-    assert_links_canonical(spec, d, table)
+    assert_links_canonical(spec, table)
+
+
+def test_sections_where_the_translations_act():
+    # t = q on the slices with a section cell, t = 1 elsewhere
+    def ts(spec, d, c2):
+        return {t for *_, t in _admissible(spec, d, c2, _scaling(spec, d)[1], {})}
+    assert ts(F9, 3, 1) == ts(F9, 3, 2) == {9} and ts(F9, 3, 3) == {1}
+    assert ts(F3, 4, 1) == {1, 3} and ts(F3, 4, 2) == ts(F3, 4, 4) == {3}
+    assert ts(F8, 3, 1) == {1} and ts(F8, 3, 2) == {8}
+    assert ts(F2, 5, 1) == {1, 2}
+    # F_3 d = 4, c2 = 1: h = x^3 + h_2 x^2 + h_1 x + h_0 moves h_1 by 2 h_2 b
+    _, log = _scaling(F3, 4)
+    for g, h, _, _, t in _admissible(F3, 4, 1, log, {}):
+        assert (t == 3) == (h[2] != 0)
+        assert t == 1 or h[1] == 0
+        assert g[3] == 0
+
+
+@pytest.mark.parametrize("spec,d", [(F3, 4), (F5, 3), (F4, 4), (F9, 3)])
+def test_census_counts_are_translation_invariant(spec, d):
+    # x -> x + b maps the classes with monic discriminant D one-to-one onto
+    # those with D(x + b): every key and each of its translates have the
+    # same class count and tangent histogram
+    res = census_by_disc(spec, d, points=False)
+    by_key = {tuple(r.disc.c): r for r in res.records}
+    assert sum(r.class_count for r in res.records) == _class_total(spec.p, spec.m, d)
+    for key, rec in by_key.items():
+        for b in range(1, spec.order):
+            other = by_key[tuple(translated(spec, list(key), b))]
+            assert (other.class_count, other.tangent_dims) == (rec.class_count,
+                                                               rec.tangent_dims)
+
+
+@pytest.mark.parametrize("spec,d", [(F3, 4), (F9, 3), (F2, 5), (F8, 3)])
+def test_scan_makes_one_monic_key_per_class(spec, d, monkeypatch):
+    # each class of an affine orbit gets its own key, made monic in the
+    # scan: the monic keys made there count the census's classes, which is
+    # how the benchmark's per-layer trace counts them
+    import p1covers.census as census_mod
+    calls = []
+
+    def counted(S, a):
+        calls.append(len(a))
+        return raw_monic(S, a)
+
+    monkeypatch.setattr(census_mod, "raw_monic", counted)
+    table = _scan_chunk((spec.p, spec.m, d, 0, 1, False))
+    assert len(calls) == sum(rec[0] for rec in table.values()) == _class_total(spec.p, spec.m, d)
 
 
 @pytest.mark.parametrize("spec,max_d", [(F2, 6), (F3, 4)])
@@ -472,7 +547,7 @@ def test_tangent_block_matches_full_system(spec, max_d):
         _, log = _scaling(spec, d)
         memo = {}                   # g rows shared across the slices
         for c2 in range(1, d + 1):
-            for g, h, disc, _ in _admissible(spec, d, c2, log, memo):
+            for g, h, disc, _, _ in _admissible(spec, d, c2, log, memo):
                 block = _chart_block(spec, g, d, d - c2, memo)
                 if block[1] < d:
                     low_rank.add(tuple(g))
@@ -490,7 +565,7 @@ def test_scan_parts_merge_to_one_scan(spec, d):
     whole = _scan_chunk((spec.p, spec.m, d, 0, 1, True))
     total = _class_total(spec.p, spec.m, d)
     assert sum(rec[0] for rec in whole.values()) == total
-    assert_links_canonical(spec, d, whole)
+    assert_links_canonical(spec, whole)
     for parts in (2, 3, 4):
         merged = {}
         for part in range(parts):
@@ -503,21 +578,24 @@ def test_scan_parts_merge_to_one_scan(spec, d):
 @pytest.mark.parametrize("spec,d", [(F2, 6), (F3, 4), (F4, 3), (F9, 3)])
 def test_shared_scan_matches_per_slice_scans(spec, d):
     # the slices of one task share their g rows and their table: the same
-    # counts and dimensions as scanning each slice alone with its own memo,
-    # and its links still name first keys
+    # counts and dimensions as scanning each slice alone with its own memo
+    # and expanding each class by substitution, and its links still name
+    # first keys
     shared = _scan_chunk((spec.p, spec.m, d, 0, 1, True))
-    exp, log = _scaling(spec, d)
+    _, log = _scaling(spec, d)
     alone = {}
     for c2 in range(1, d + 1):
         memo = {}
-        for g, h, disc, s in _admissible(spec, d, c2, log, memo):
+        for g, h, disc, s, t in _admissible(spec, d, c2, log, memo):
             dim = _tangent_dim_raw(spec, _chart_block(spec, g, d, d - c2, memo), h)
-            for key in orbit(exp, log, spec, disc, s):
-                rec = alone.setdefault(key, [0, {}])
-                rec[0] += 1
-                rec[1][dim] = rec[1].get(dim, 0) + 1
+            D = raw_monic(spec, disc)
+            for b in range(t):
+                for key in orbit(spec, translated(spec, D, b), s):
+                    rec = alone.setdefault(key, [0, {}])
+                    rec[0] += 1
+                    rec[1][dim] = rec[1].get(dim, 0) + 1
     assert counts_and_dims(shared) == alone
-    assert_links_canonical(spec, d, shared)
+    assert_links_canonical(spec, shared)
 
 
 @pytest.mark.parametrize("spec,d", [(F4, 4), (F9, 3)])
@@ -527,8 +605,8 @@ def test_prefix_tasks_split_the_slice(spec, d):
     _, log = _scaling(spec, d)
     for c2 in range(1, d + 1):
         def classes(part, parts):
-            return [(tuple(g), tuple(h), tuple(disc), s)
-                    for g, h, disc, s in _admissible(spec, d, c2, log, {}, part, parts)]
+            return [(tuple(g), tuple(h), tuple(disc), s, t)
+                    for g, h, disc, s, t in _admissible(spec, d, c2, log, {}, part, parts)]
         whole = classes(0, 1)
         n_rows = len({cls[0] for cls in whole})
         for parts in (2, 3, 4):
@@ -540,7 +618,9 @@ def test_prefix_tasks_split_the_slice(spec, d):
             assert sorted(cls for share in split for cls in share) == sorted(whole)
 
 
-@pytest.mark.parametrize("spec,d,visits,distinct", [(F2, 6, 192, 63), (F3, 4, 66, 37)])
+# F_2 d = 6 has no g section (2 | 6); F_3 d = 4 drops g's column 1 at c2 >= 2,
+# so its g rows are those of the c2 = 1 slice
+@pytest.mark.parametrize("spec,d,visits,distinct", [(F2, 6, 192, 63), (F3, 4, 39, 18)])
 def test_g_row_work_once_per_census(spec, d, visits, distinct, monkeypatch):
     # a g row is scanned in every slice where its cell c2 is zero; its
     # factors and T_g columns are built once per census all the same, and
@@ -549,9 +629,9 @@ def test_g_row_work_once_per_census(spec, d, visits, distinct, monkeypatch):
     _, log = _scaling(spec, d)
     scanned = []
     for c2 in range(1, d + 1):
-        free_g = [j for j in range(1, d + 1) if j != c2]
+        free_g = census_mod._free_g(spec.p, d, c2)
         scanned += [tuple(census_mod._row(d, 0, free_g, vals))
-                    for vals, _ in census_mod._g_starts(log, d, c2)]
+                    for vals, _ in census_mod._g_starts(log, d, c2, spec.p)]
     rows = set(scanned)
     assert (len(scanned), len(rows)) == (visits, distinct)
     n_factored = sum(len(raw_sqf_list(spec, list(g))) for g in rows)
@@ -579,7 +659,7 @@ def test_g_row_work_once_per_census(spec, d, visits, distinct, monkeypatch):
 # F_9 d = 3 stops at F_{9^3}, the largest tabled extension, to keep root
 # finding cheap; F_49 d = 2 puts points in F_{49^2}, which has no tables
 @pytest.mark.parametrize("spec,d,max_ext", [(F4, 3, 4), (F8, 3, 4), (F9, 3, 3),
-                                            (F49, 2, 4)])
+                                            (F49, 2, 4), (F5, 3, 2)])
 def test_census_points_match_direct_root_finding(spec, d, max_ext, monkeypatch):
     import p1covers.census as census_mod
     calls = []
@@ -615,4 +695,4 @@ def test_scaling_images_without_tables(p, m):
         image = Poly.zero(S)
         for c in reversed(Poly._raw(S, D).coeffs()):
             image = image * ax + Poly.constant(S, c)
-        assert list(orbit(exp, log, S, D, k + 1)[k]) == list(image.monic().c)
+        assert raw_monic(S, list(_images(exp, log, D, k + 1))[k]) == list(image.monic().c)

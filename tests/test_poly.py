@@ -385,8 +385,13 @@ def test_raw_layer_agrees_without_tables(p, m, monkeypatch):
         e = rng.choice([0, 1, 2, T.order, rng.randrange(1 << 24)])
         assert raw_pow_mod(S, a, e, c) == raw_pow_mod(T, a, e, c)
         assert raw_pow_mod(S, b, e, ac) == raw_pow_mod(T, b, e, ac)
-        r, terms = raw_rem(T, a, c), S.m * (len(c) - 1)  # callers pass a reduced a
-        assert _trace_mod(S, r, c, terms) == _trace_mod(T, r, c, terms)
+        terms = S.m * (len(c) - 1)
+        # reduced, unreduced (deg a >= deg c) and a multiple of c, whose trace is 0
+        for r in (raw_rem(T, a, c), a, raw_mul(T, a, c), ac):
+            assert _trace_mod(S, r, c, terms) == _trace_mod(T, r, c, terms)
+        assert _trace_mod(T, ac, c, terms) == [] == _trace_mod(S, ac, c, terms)
+        assert (_trace_mod(T, raw_add(T, a, raw_mul(T, b, c)), c, terms)
+                == _trace_mod(T, raw_rem(T, a, c), c, terms))
     for _ in range(12):
         nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 7)
         rows = [[rng.randrange(T.order) for _ in range(ncols)] for _ in range(nrows)]
@@ -409,6 +414,66 @@ def _pow_mod_by_raw_mul(S, base, e, mod):
         base = raw_rem(S, raw_mul(S, base, base), mod)
         e >>= 1
     return result
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (2, 3), (5, 2), (3, 6), (2, 9)])
+def test_tabled_pow_mod_matches_repeated_multiplication(p, m):
+    # the tabled loop squares and multiplies from the top bit down; it
+    # returns the trimmed residue of base^e, [1] for e = 0 and [] for a
+    # constant modulus, also for a base with trailing zero codes
+    S = make_field(p, m)
+    q = S.order
+    assert S.tabled
+    rng = random.Random(q)
+    for k in (0, 1, 2, 3, 5):
+        h = [rng.randrange(q) for _ in range(k)] + [rng.randrange(1, q)]
+        base = [rng.randrange(q) for _ in range(k + rng.randrange(4))] + [rng.randrange(1, q)]
+        want = raw_rem(S, [1], h)
+        for e in range(2 * q + 2):
+            got = raw_pow_mod(S, base + [0, 0], e, h)
+            assert got == want == raw_pow_mod(S, base, e, h), (k, e)
+            assert not got or got[-1]
+            want = raw_rem(S, raw_mul(S, want, base), h)
+    assert raw_pow_mod(S, [0, 1], 0, [1]) == [] and raw_pow_mod(S, [0, 1], 0, [0, 1]) == [1]
+
+
+def test_tabled_pow_mod_squares_once_per_bit(monkeypatch):
+    # e = q = 3, every raw_ddf step over F_3: two products, not four
+    from p1covers import poly
+    S = make_field(3)
+    calls = []
+
+    def counted(F, a, b):
+        calls.append(1)
+        return raw_mul(F, a, b)
+
+    monkeypatch.setattr(poly, "raw_mul", counted)
+    h = [1, 2, 0, 1]
+    assert poly.raw_pow_mod(S, [0, 1], 3, h) == raw_rem(S, [0, 0, 0, 1], h)
+    assert len(calls) == 2
+
+
+def test_binary_splitters_try_basis_codes_first(monkeypatch):
+    # over F_{2^12} the trace is F_2-linear in b, so some u^j, code 2^j,
+    # splits a product of distinct linear factors: a root set whose
+    # differences have zero trace against 1, u, ..., u^8 is still split
+    # within a few candidates
+    from p1covers import poly
+    S = make_field(2, 12)
+    f = [1]
+    for r in (5, 1234, 77, 4000):
+        f = raw_mul(S, f, [S.neg(r), 1])
+    calls = []
+    trace_mod = poly._trace_mod
+
+    def counted(F, a, h, terms):
+        calls.append(list(a))
+        return trace_mod(F, a, h, terms)
+
+    monkeypatch.setattr(poly, "_trace_mod", counted)
+    assert poly._split_root(S, f) in (5, 1234, 77, 4000)
+    assert len(calls) <= 24
+    assert all(len(a) == 2 for a in calls)          # degree-1 candidates b x only
 
 
 @pytest.mark.parametrize("p,m,degrees", [
