@@ -49,12 +49,16 @@ of a single cover: cover._branch_shape reads lengths and wildness off
 the squarefree structure, exact and extension-free, and
 cover._branch_divisor finds the divisor points, the only part that may
 need an extension field, from the same split, when cheap or requested.
-Both are computed once per orbit of keys, on its least key, the first
-key: a key reached from it by x -> ax has the same length structure, and
-its points are the first key's points times a^-1. The first key depends
-on the orbit alone, so the tasks' tables agree on it, and the merge only
-adds counts and dimensions. The class total is checked against its
-closed form, from which Burnside gives the Frobenius orbit count.
+Both are computed once per x -> ax + b orbit of keys, on the first key F
+met of it: the first key of a key is the least key of its x -> ax orbit,
+and it depends on that orbit alone, so the tasks' tables agree on it and
+the merge only adds counts and dimensions. A translate F(x + b) has the
+same length structure, and its points are F's minus b; its link names
+the first key f of its orbit and the e with F(x + b) = monic(f(γ^e x)),
+so f has the points (r - b) γ^e for the points r of F, and a key reached
+from f by x -> ax has f's points times a^-1. The class total is checked
+against its closed form, from which Burnside gives the Frobenius orbit
+count.
 """
 
 from __future__ import annotations
@@ -504,11 +508,38 @@ class CensusResult:
                 "records": [r.to_json() for r in self.records]}
 
 
-def _length_structure(S, disc_key, d, memo):
-    """cover._branch_shape of the key, kept in memo by key across calls."""
-    out = memo.get(disc_key)
+def _length_structure(S, key, d, memo, moves):
+    """cover._branch_shape of a first key, read from memo. On a miss it is
+    computed once and stored as well under each first key of moves, the
+    first keys of its translates (_translates), which share it; their
+    entries carry no squarefree list, which is the key's own."""
+    out = memo.get(key)
     if out is None:
-        out = memo[disc_key] = _branch_shape(S, disc_key, d)
+        out = memo[key] = _branch_shape(S, key, d)
+        moved = out[:4] + (None,)
+        for f in moves:
+            memo[f] = moved
+    return out
+
+
+def _translates(S, table, key):
+    """{f: (b, e)} over the translates key(x + b), b in F_q^*, whose x -> ax
+    orbit is not key's own: f is the translate's first key and key(x + b)
+    = monic(f(γ^e x)), read off the translate's link in table, for the
+    first b that reaches f. A constant key is its own translate. Of the
+    keys in key's x -> ax + b orbit only the record being built, whose
+    first key is key, has left table: an earlier one would have filled
+    the orbit's branch data already."""
+    out = {}
+    if len(key) > 1:
+        for b in range(1, S.order):
+            t = tuple(_translate(S, key, b))
+            rec = table.get(t)
+            if rec is None:
+                continue                    # the record being built
+            f, e = rec[2] or (t, 0)
+            if f != key and f not in out:
+                out[f] = (b, e)
     return out
 
 
@@ -562,8 +593,12 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
                 _merge_tables(table, part)
     else:
         _merge_tables(table, _scan_chunk(tasks[0]))
-    # a key and its orbit's first key share the length structure; the
-    # first key's divisor points, times γ^-k, are the key's own
+    # a key has its first key's branch data. A first key F met for the
+    # first time stands for its whole x -> ax + b orbit: its branch data is
+    # computed once and stored also under the first key f of each
+    # translate, F(x + b) = monic(f(γ^e x)), with F's points r moved to
+    # r - b, the points of F(x + b), and with e. A key monic(f(γ^k x))
+    # then has the points (r - b) γ^(e - k), one product per point
     exp = _scaling(spec, d)[0] if points else None
     shapes = {}
     divisors = {}
@@ -573,17 +608,20 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
     for key in keys:
         count, dims, link = table.pop(key)
         first, k = (key, 0) if link is None else link
-        finite, l_inf, profile, wild, sqf = _length_structure(spec, first, d, shapes)
+        moves = None if first in shapes else _translates(spec, table, first)
+        finite, l_inf, profile, wild, sqf = _length_structure(spec, first, d, shapes, moves)
         lengths = None
         split_ok = False
         if points:
-            found = divisors.get(first)
-            if found is None:
-                found = divisors[first] = _materialize_divisor(spec, first, l_inf, max_ext,
-                                                               sqf)
-            lengths, split_ok = found
-            if k and lengths is not None:
-                lengths = _scaled_divisor(spec, lengths, exp[-k])
+            if moves is not None:
+                div, ok = _materialize_divisor(spec, first, l_inf, max_ext, sqf)
+                divisors[first] = div, ok, 0
+                for f, (b, e) in moves.items():
+                    moved = None if div is None else _moved_divisor(spec, div, b, 1)
+                    divisors[f] = moved, ok, e
+            lengths, split_ok, e = divisors[first]
+            if lengths is not None and e != k:
+                lengths = _moved_divisor(spec, lengths, 0, exp[e - k])
         records.append(CensusRecord(
             disc=Poly._raw(spec, key), lengths=lengths,
             finite_lengths=finite, l_inf=l_inf, class_count=count,
@@ -607,15 +645,20 @@ def _materialize_divisor(S, disc_key, l_inf, max_ext, sqf=None):
     return div, div is not None
 
 
-def _scaled_divisor(S, div, a):
-    """div with each finite point multiplied by a in S, embedded into the
-    points' field; INF stays."""
+def _moved_divisor(S, div, b, a):
+    """div with each finite point pt moved to (pt - b) a, for b and a in S
+    embedded into the points' field; INF stays."""
     T = div.spec
     if T is None:
         return div
-    c = T.embed_code(a, S)
-    return Divisor([(pt if pt is INF else FieldElement(T, T.mul(pt.code, c)), m)
-                    for pt, m in div.items()], spec=T)
+    b, a = T.embed_code(b, S), T.embed_code(a, S)
+    moved = []
+    for pt, m in div.items():
+        if pt is not INF:
+            c = T.sub(pt.code, b) if b else pt.code
+            pt = FieldElement(T, T.mul(c, a) if a != 1 else c)
+        moved.append((pt, m))
+    return Divisor(moved, spec=T)
 
 
 def _count_galois_orbits(spec, d):

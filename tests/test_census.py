@@ -9,9 +9,10 @@ import pytest
 from p1covers import (BudgetExceeded, Cover, InputError, Mobius, Poly, SplitBoundExceeded,
                       census_by_disc, enumerate_covers, make_field, raw_plane_count,
                       verify_theorem_char23, wild_family)
-from p1covers.census import (_admissible, _chart_block, _class_total, _images,
+from p1covers.census import (CensusRecord, _admissible, _chart_block, _class_total, _images,
                              _materialize_divisor, _merge_tables, _scaling, _scan_chunk,
                              _tangent_dim_raw)
+from p1covers.cover import _branch_shape
 from p1covers.deform import _columns_to_rows, _tangent_columns_raw
 from p1covers.field import FieldElement
 from p1covers.poly import (raw_add, raw_deriv, raw_gcd, raw_monic, raw_mul, raw_rank,
@@ -429,6 +430,34 @@ def translated(S, a, b):
     return out
 
 
+def affine_orbit_count(S, keys):
+    """The orbits of x -> ax + b on a set of monic keys, by field products:
+    the orbit of a key is the scaling images of its translates."""
+    seen = set()
+    count = 0
+    for key in keys:
+        if key not in seen:
+            count += 1
+            for b in range(S.order):
+                seen.update(orbit(S, tuple(translated(S, list(key), b)), S.order - 1))
+    return count
+
+
+def counting(monkeypatch, name):
+    """Replace the census module's `name` by a wrapper that records the
+    second argument of each call; returns that list."""
+    import p1covers.census as census_mod
+    calls = []
+    fn = getattr(census_mod, name)
+
+    def counted(*args):
+        calls.append(args[1])
+        return fn(*args)
+
+    monkeypatch.setattr(census_mod, name, counted)
+    return calls
+
+
 def counts_and_dims(table):
     return {key: [rec[0], rec[1]] for key, rec in table.items()}
 
@@ -526,14 +555,7 @@ def test_scan_makes_one_monic_key_per_class(spec, d, monkeypatch):
     # each class of an affine orbit gets its own key, made monic in the
     # scan: the monic keys made there count the census's classes, which is
     # how the benchmark's per-layer trace counts them
-    import p1covers.census as census_mod
-    calls = []
-
-    def counted(S, a):
-        calls.append(len(a))
-        return raw_monic(S, a)
-
-    monkeypatch.setattr(census_mod, "raw_monic", counted)
+    calls = counting(monkeypatch, "raw_monic")
     table = _scan_chunk((spec.p, spec.m, d, 0, 1, False))
     assert len(calls) == sum(rec[0] for rec in table.values()) == _class_total(spec.p, spec.m, d)
 
@@ -656,24 +678,63 @@ def test_g_row_work_once_per_census(spec, d, visits, distinct, monkeypatch):
         assert len(factored) == n_factored
 
 
+@pytest.mark.parametrize("spec,d", [(F3, 4), (F9, 3), (F2, 5), (F5, 3)])
+def test_census_reads_one_length_structure_per_record(spec, d, monkeypatch):
+    # the census reads each record's length structure once: the records
+    # the benchmark's per-layer trace counts are these reads
+    calls = counting(monkeypatch, "_length_structure")
+    res = census_by_disc(spec, d, points=True)
+    assert len(calls) == len(res.records)
+
+
+@pytest.mark.parametrize("spec,d", [(F2, 6), (F3, 4), (F5, 3), (F8, 3), (F9, 3)])
+def test_census_makes_one_branch_shape_per_affine_orbit_of_keys(spec, d, monkeypatch):
+    # a key and its translates D(x + b) share the length structure, so the
+    # census makes one branch shape per x -> ax + b orbit of keys
+    calls = counting(monkeypatch, "_branch_shape")
+    res = census_by_disc(spec, d, with_tangent=False, points=False)
+    keys = [tuple(r.disc.c) for r in res.records]
+    assert len(calls) == len(set(calls)) == affine_orbit_count(spec, keys)
+
+
 # F_9 d = 3 stops at F_{9^3}, the largest tabled extension, to keep root
-# finding cheap; F_49 d = 2 puts points in F_{49^2}, which has no tables
+# finding cheap; F_49 d = 2 puts points in F_{49^2}, which has no tables;
+# most F_5 d = 3 keys do not split over F_5 itself, and their translates
+# take (None, False) from them
 @pytest.mark.parametrize("spec,d,max_ext", [(F4, 3, 4), (F8, 3, 4), (F9, 3, 3),
-                                            (F49, 2, 4), (F5, 3, 2)])
+                                            (F49, 2, 4), (F5, 3, 2), (F7, 3, 4),
+                                            (F3, 4, 4), (F5, 3, 1)])
 def test_census_points_match_direct_root_finding(spec, d, max_ext, monkeypatch):
-    import p1covers.census as census_mod
-    calls = []
-
-    def counted(*args):
-        calls.append(args[1])
-        return _materialize_divisor(*args)
-
-    monkeypatch.setattr(census_mod, "_materialize_divisor", counted)
+    # points are found once per x -> ax + b orbit of keys and moved to the
+    # other keys, which must get the points of their own root finding
+    calls = counting(monkeypatch, "_materialize_divisor")
     res = census_by_disc(spec, d, max_ext=max_ext, with_tangent=False, points=True)
-    assert len(calls) < len(res.records)           # some points come by scaling
+    keys = [tuple(r.disc.c) for r in res.records]
+    assert len(calls) == affine_orbit_count(spec, keys)
     for rec in res.records:
         want = _materialize_divisor(spec, rec.disc.c, rec.l_inf, max_ext)
         assert (rec.lengths, rec.split_ok) == want, str(rec.disc)
+    if max_ext == 1:
+        assert sum(not r.split_ok for r in res.records) == 370 and len(res.records) == 445
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4])
+@pytest.mark.parametrize("d", [1, 2])
+def test_census_branch_data_matches_per_key_recomputation(spec, d):
+    # small degrees: no scaling lists at d = 1, q - 1 = 1 over F_2, and
+    # constant keys; every record's JSON equals the one built from its
+    # own key's branch shape and divisor
+    res = census_by_disc(spec, d, points=True)
+    for rec in res.records:
+        finite, l_inf, profile, wild, _ = _branch_shape(spec, rec.disc.c, d)
+        lengths, split_ok = _materialize_divisor(spec, rec.disc.c, l_inf, 4)
+        want = CensusRecord(disc=rec.disc, lengths=lengths, finite_lengths=finite,
+                            l_inf=l_inf, class_count=rec.class_count,
+                            tangent_dims=rec.tangent_dims, wild=wild, split_ok=split_ok,
+                            factor_profile=profile)
+        assert json.dumps(rec.to_json()) == json.dumps(want.to_json())
+    if d == 1:
+        assert [tuple(r.disc.c) for r in res.records] == [(1,)]
 
 
 @pytest.mark.parametrize("p,m", [(2, 10), (3, 7)])
