@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 from .cover import INF, Cover, Divisor, _branch_divisor, _branch_shape
 from .errors import BudgetExceeded, InputError
-from .field import FieldElement, FieldSpec, make_field
+from .field import FieldSpec, make_field
 from .poly import (Poly, raw_T_columns, raw_axpy, raw_factor_sqf, raw_kernel, raw_monic,
                    raw_rank, raw_rem, raw_sqf_list, raw_trim)
 
@@ -646,19 +646,24 @@ def _materialize_divisor(S, disc_key, l_inf, max_ext, sqf=None):
 
 
 def _moved_divisor(S, div, b, a):
-    """div with each finite point pt moved to (pt - b) a, for b and a in S
-    embedded into the points' field; INF stays."""
+    """div with each finite point c moved to (c - b) a, for b and a in S
+    embedded into the points' field; INF stays. The map is affine with
+    a != 0, so the moved codes stay distinct and the dict is built here,
+    code by code, for Divisor._raw."""
     T = div.spec
     if T is None:
         return div
     b, a = T.embed_code(b, S), T.embed_code(a, S)
-    moved = []
-    for pt, m in div.items():
-        if pt is not INF:
-            c = T.sub(pt.code, b) if b else pt.code
-            pt = FieldElement(T, T.mul(c, a) if a != 1 else c)
-        moved.append((pt, m))
-    return Divisor(moved, spec=T)
+    st, mt, q = T._sub_t, T._mul_t, T.order
+    moved = {}
+    for c, m in div._points.items():
+        if c is not INF:
+            if b:
+                c = st[c * q + b]
+            if a != 1:
+                c = mt[c * q + a]
+        moved[c] = m
+    return Divisor._raw(T, moved)
 
 
 def _count_galois_orbits(spec, d):

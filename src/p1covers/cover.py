@@ -150,6 +150,8 @@ class Divisor:
     """Finite formal sum of points of P^1 with positive multiplicities.
 
     All finite points live in one field; INF is the symbol for infinity.
+    The points are kept as {code or INF: multiplicity}, and the text
+    forms are rendered from the codes through the field's element_str.
     """
 
     __slots__ = ("spec", "_points")
@@ -175,6 +177,18 @@ class Divisor:
             table[key] = mult
         self.spec = spec
         self._points = table
+
+    @classmethod
+    def _raw(cls, spec, points) -> "Divisor":
+        """Trusted construction, like Poly._raw: points is a dict {code or
+        INF: multiplicity} that the library has built from checked data,
+        with codes of spec (None when there are no finite points) and
+        positive int multiplicities; it is kept, not copied. Only library
+        code that made the dict itself may call this."""
+        div = object.__new__(cls)
+        div.spec = spec
+        div._points = points
+        return div
 
     def mass(self) -> int:
         return sum(self._points.values())
@@ -219,8 +233,19 @@ class Divisor:
             pairs.append((m.apply(pt), mult))
         return Divisor(pairs, spec=spec)
 
+    def _rendered(self):
+        """(point text, multiplicity) pairs in items() order, from the codes."""
+        pts, out = self._points, []
+        finite = sorted(c for c in pts if c is not INF)
+        if finite:
+            text = self.spec.element_str
+            out = [(text(c), pts[c]) for c in finite]
+        if INF in pts:
+            out.append((str(INF), pts[INF]))
+        return out
+
     def to_json(self):
-        return [{"point": str(pt), "mult": m} for pt, m in self.items()]
+        return [{"point": pt, "mult": m} for pt, m in self._rendered()]
 
     def __eq__(self, other):
         if not isinstance(other, Divisor):
@@ -233,12 +258,14 @@ class Divisor:
         return not finite or self.spec == other.spec
 
     def __hash__(self):
-        return hash((self.spec, tuple(sorted(
+        # __eq__ ignores the field of a divisor without finite points
+        spec = self.spec if any(k is not INF for k in self._points) else None
+        return hash((spec, tuple(sorted(
             ((1, 0, v) if k is INF else (0, k, v)) for k, v in self._points.items()))))
 
     def __str__(self):
         return " + ".join(f"{m}*({pt})" if m > 1 else f"({pt})"
-                          for pt, m in self.items()) or "0"
+                          for pt, m in self._rendered()) or "0"
 
     def __repr__(self):
         return f"Divisor({self})"
@@ -449,9 +476,10 @@ def _branch_divisor(S, sqf, l_inf, max_ext):
     roots, residual = raw_sqf_roots(S, sqf, max_ext)
     if len(residual) > 1:
         return None, residual
+    points = {pt.code: e for pt, e in roots}
     if l_inf > 0:
-        roots.append((INF, l_inf))
-    return Divisor(roots), residual
+        points[INF] = l_inf
+    return Divisor._raw(roots[0][0].spec if roots else None, points), residual
 
 
 def make_cover(g: Poly, h: Poly) -> Cover:

@@ -32,7 +32,7 @@ from .cover import NormalizedCover
 from .errors import BudgetExceeded, InputError
 from .field import FieldElement, FieldSpec
 from .poly import (FieldMatrix, Poly, polymat_kernel, raw_T, raw_T_columns, raw_add,
-                   raw_embed, raw_kernel, raw_mul, raw_neg, raw_quo_exact, raw_rref,
+                   raw_embed, raw_kernel, raw_mul, raw_neg, raw_quo_root, raw_rref,
                    raw_scale, raw_sub, raw_trim)
 
 BRUTE_FORCE_LIMIT = 10 ** 7
@@ -92,7 +92,7 @@ def _branch_direction(S, disc, pt, l):
     lp = l % S.p
     if lp == 0:
         return []
-    return raw_scale(S, raw_quo_exact(S, disc, [S.neg(pt.code), 1]), lp)
+    return raw_scale(S, raw_quo_root(S, disc, pt.code), lp)
 
 
 def tangent_system(nc: NormalizedCover, variant: str = "xd",

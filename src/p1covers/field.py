@@ -46,6 +46,12 @@ coefficients are elements. A cover is `g / h`, or `g` for `g / 1`.
 Brackets do not nest, and every integer goes through one checked
 conversion, so malformed text raises `InputError`.
 
+Text is written by `FieldSpec.element_str`, which every printed element,
+polynomial coefficient and divisor point goes through. A field of at
+most `TABLE_LIMIT` elements reads it from a list of every code's text,
+built on the first call, so making a field costs no formatting; a larger
+field formats each code when asked and keeps nothing.
+
 This module only knows field elements: every polynomial step it needs
 runs on `poly`'s raw layer. Field construction is deterministic:
 `make_field(p, m)` picks the lexicographically least monic irreducible
@@ -230,7 +236,7 @@ class FieldSpec:
     __slots__ = ("p", "m", "modulus", "order", "_mul_t", "_add_t", "_sub_t",
                  "_neg_t", "_inv_t", "_embed_images", "_ppow", "_pack_bits",
                  "_chunk_order", "_chunks", "_chunk_shift", "_chunk_digits",
-                 "_chunk_packs", "_red_digits", "_packed_red", "__weakref__")
+                 "_chunk_packs", "_red_digits", "_packed_red", "_strs", "__weakref__")
 
     def __init__(self, p: int, m: int, modulus):
         self.p = p
@@ -238,6 +244,7 @@ class FieldSpec:
         self.modulus = modulus  # tuple of m+1 ints over F_p, monic; None iff m == 1
         self.order = p ** m
         self._embed_images = {}
+        self._strs = None  # element_str's table, built on its first call
         self._ppow = [p ** i for i in range(m)]
         # packing puts digits this many bits apart, which turns digit
         # convolution into one int multiply
@@ -484,6 +491,17 @@ class FieldSpec:
     # -- presentation ---------------------------------------------------------
 
     def element_str(self, code: int) -> str:
+        """The text of code, as the term reader reads it back. A field of at
+        most TABLE_LIMIT elements reads it from a list of every code's
+        text, built on the first call; a larger one formats each call."""
+        strs = self._strs
+        if strs is None:
+            if self.order > TABLE_LIMIT:
+                return self._format(code)
+            strs = self._strs = [self._format(c) for c in range(self.order)]
+        return strs[code]
+
+    def _format(self, code: int) -> str:
         if self.m == 1:
             return str(code)
         digits = self.decode(code)

@@ -142,6 +142,22 @@ def raw_quo_exact(S, a, b):
     return q
 
 
+def raw_quo_root(S, a, r):
+    """a / (x - r) by one synthetic-division pass: quotient coefficient
+    i - 1 is a_i + r times coefficient i. ArithmeticError unless r is a
+    root of a, as raw_quo_exact."""
+    mt, at, q = S._mul_t, S._add_t, S.order
+    row = r * q
+    quo = [0] * (len(a) - 1)
+    acc = 0
+    for i in range(len(a) - 1, 0, -1):
+        acc = at[a[i] * q + mt[row + acc]]
+        quo[i - 1] = acc
+    if at[a[0] * q + mt[row + acc]]:
+        raise ArithmeticError("inexact polynomial division where exactness was promised")
+    return quo
+
+
 def raw_monic(S, a):
     if not a:
         raise InputError("cannot make the zero polynomial monic")
@@ -426,11 +442,13 @@ def _roots_of_split_product(S, sub: FieldSpec, g):
     """All roots in `sub`, sorted, of g, a product of distinct
     S-irreducibles that split there, one Frobenius orbit at a time: a
     root's orbit under c -> c^|S| is the roots of its irreducible factor,
-    and is divided out. In a field with tables a root comes from scanning
-    the codes upward from where the last scan stopped, above it from
-    _split_root. The scan tries no splitters, which waste work once h is
-    a single orbit; the split skips the splitters from S, which cannot
-    split an orbit, when sub is a proper extension of S."""
+    and is divided out one root at a time by raw_quo_root's synthetic
+    division, which checks that the remainder is 0. In a field with
+    tables a root comes from scanning the codes upward from where the
+    last scan stopped, above it from _split_root. The scan tries no
+    splitters, which waste work once h is a single orbit; the split skips
+    the splitters from S, which cannot split an orbit, when sub is a
+    proper extension of S."""
     roots = []
     h = raw_monic(sub, g)
     c = 0
@@ -445,7 +463,7 @@ def _roots_of_split_product(S, sub: FieldSpec, g):
             r0 = _split_root(sub, h, S if sub.m > S.m else None)
         x = r0
         while True:
-            h = raw_quo_exact(sub, h, [sub.neg(x), 1])
+            h = raw_quo_root(sub, h, x)
             roots.append(x)
             x = sub.pow_code(x, S.order)
             if x == r0:

@@ -6,15 +6,15 @@ from itertools import product as iproduct
 
 import pytest
 
-from p1covers import (BudgetExceeded, Cover, InputError, Mobius, Poly, SplitBoundExceeded,
-                      census_by_disc, enumerate_covers, make_field, raw_plane_count,
-                      verify_theorem_char23, wild_family)
+from p1covers import (INF, BudgetExceeded, Cover, Divisor, InputError, Mobius, Poly,
+                      SplitBoundExceeded, census_by_disc, enumerate_covers, make_field,
+                      raw_plane_count, verify_theorem_char23, wild_family)
 from p1covers.census import (CensusRecord, _admissible, _chart_block, _class_total, _images,
-                             _materialize_divisor, _merge_tables, _scaling, _scan_chunk,
-                             _tangent_dim_raw)
+                             _materialize_divisor, _merge_tables, _moved_divisor, _scaling,
+                             _scan_chunk, _tangent_dim_raw)
 from p1covers.cover import _branch_shape
 from p1covers.deform import _columns_to_rows, _tangent_columns_raw
-from p1covers.field import FieldElement
+from p1covers.field import FieldElement, embed
 from p1covers.poly import (raw_add, raw_deriv, raw_gcd, raw_monic, raw_mul, raw_rank,
                            raw_rref, raw_scale, raw_sqf_list, raw_sub, raw_trim)
 
@@ -735,6 +735,27 @@ def test_census_branch_data_matches_per_key_recomputation(spec, d):
         assert json.dumps(rec.to_json()) == json.dumps(want.to_json())
     if d == 1:
         assert [tuple(r.disc.c) for r in res.records] == [(1,)]
+
+
+# points in the tabled F_{3^4} and the untabled F_{7^4}, moved by b and a
+# from the base field, a proper subfield, or the points' field itself
+@pytest.mark.parametrize("base,T", [(F9, make_field(3, 4)), (F3, make_field(3, 4)),
+                                    (F49, make_field(7, 4)), (F7, make_field(7, 4)),
+                                    (make_field(7, 4), make_field(7, 4))])
+def test_moved_divisor_matches_elementwise_move(base, T):
+    rng = random.Random(T.order + base.order)
+    codes = rng.sample(range(T.order), 7)
+    div = Divisor([(FieldElement(T, c), rng.randrange(1, 4)) for c in codes] + [(INF, 2)])
+    nonzero = rng.randrange(1, base.order)
+    for b, a in [(0, nonzero), (nonzero, 1), (rng.randrange(1, base.order), nonzero), (0, 1)]:
+        eb, ea = embed(FieldElement(base, b), T), embed(FieldElement(base, a), T)
+        want = Divisor([(pt if pt is INF else (pt - eb) * ea, m) for pt, m in div.items()],
+                       spec=T)
+        moved = _moved_divisor(base, div, b, a)
+        assert moved == want and moved.items() == want.items()
+        assert moved.to_json() == want.to_json()
+    only_inf = Divisor([(INF, 4)])
+    assert _moved_divisor(base, only_inf, 1, 1) is only_inf
 
 
 @pytest.mark.parametrize("p,m", [(2, 10), (3, 7)])

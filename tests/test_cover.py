@@ -292,6 +292,39 @@ def test_divisor_json_and_str():
     assert all(isinstance(item["point"], str) for item in js)
 
 
+def _divisor_cases():
+    # empty, INF only, finite points only and mixed, over the tabled F_81
+    # and the untabled F_2401, finite points given out of order
+    out = [(None, [])]
+    for spec in (make_field(3, 4), make_field(7, 4)):
+        q, rng = spec.order, random.Random(spec.order)
+        codes = rng.sample(range(q), 6) + [0, q - 1]
+        finite = [(FieldElement(spec, c), rng.randrange(1, 5)) for c in codes]
+        out += [(spec, [(INF, 3)]), (spec, finite), (spec, finite[:4] + [(INF, 1)] + finite[4:])]
+    return out
+
+
+@pytest.mark.parametrize("spec,pairs", _divisor_cases())
+def test_divisor_text_from_codes_matches_elements(spec, pairs):
+    div = Divisor(pairs, spec=spec)
+    items = div.items()
+    assert div.to_json() == [{"point": str(pt), "mult": m} for pt, m in items]
+    assert str(div) == (" + ".join(f"{m}*({pt})" if m > 1 else f"({pt})"
+                                   for pt, m in items) or "0")
+
+
+@pytest.mark.parametrize("spec,pairs", _divisor_cases())
+def test_divisor_raw_matches_validating_constructor(spec, pairs):
+    checked = Divisor(pairs, spec=spec)
+    raw = Divisor._raw(spec, {INF if pt is INF else pt.code: m for pt, m in pairs})
+    assert raw == checked and hash(raw) == hash(checked)
+    assert raw.items() == checked.items() and str(raw) == str(checked)
+    # without finite points the field is not part of the divisor
+    if all(pt is INF for pt, _ in pairs):
+        bare = Divisor(pairs)
+        assert bare == raw and hash(bare) == hash(raw)
+
+
 def test_divisor_validation():
     with pytest.raises(InputError):
         Divisor([(F3.element(1), 0)])

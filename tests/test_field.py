@@ -292,6 +292,47 @@ def test_element_comparisons_and_hash():
     assert bool(F9.zero()) is False and bool(a) is True
 
 
+def element_text(spec, code):
+    """The element grammar written out from decode: nonzero digits from the
+    top, 'c*u^k' with the 1 and the ^1 dropped, bracketed unless constant."""
+    digits = spec.decode(code)
+    if not any(digits[1:]):
+        return str(digits[0])
+    terms = []
+    for k in reversed(range(spec.m)):
+        c = digits[k]
+        if c:
+            power = "" if k == 0 else "u" if k == 1 else f"u^{k}"
+            terms.append(str(c) if not power else power if c == 1 else f"{c}*{power}")
+    return "[" + " + ".join(terms) + "]"
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4),
+                                 (5, 3), (3, 5), (7, 3), (5, 4), (3, 6)])
+def test_element_str_table_every_code(p, m):
+    spec = make_field(p, m)
+    assert spec.order <= TABLE_LIMIT
+    assert [spec.element_str(c) for c in range(spec.order)] == \
+        [element_text(spec, c) for c in range(spec.order)]
+    assert len(spec._strs) == spec.order  # built on the first call, kept
+
+
+@pytest.mark.parametrize("p,m", [(2, 12), (7, 4), (3, 8)])
+def test_element_str_untabled_sampled(p, m):
+    spec = make_field(p, m)
+    q = spec.order
+    for c in [0, 1, p - 1, p, q - 1, *random.Random(q).sample(range(q), 500)]:
+        assert spec.element_str(c) == element_text(spec, c)
+        assert str(FieldElement(spec, c)) == element_text(spec, c)
+    assert spec._strs is None  # above the limit no string table is kept
+
+
+def test_element_str_table_is_lazy():
+    spec = field.FieldSpec(3, 2, make_field(3, 2).modulus)
+    assert spec._strs is None
+    assert spec.element_str(5) == "[u + 2]" and len(spec._strs) == 9
+
+
 def digit_expansion(code, p, m):
     out = []
     for _ in range(m):

@@ -9,7 +9,7 @@ from p1covers import (Cover, FieldElement, FieldMatrix, InputError, Poly, PolyMa
                       kernel_basis, make_field, poly_arith, poly_gcd,
                       rank_over_kX, roots_with_multiplicity)
 from p1covers.cli import main
-from p1covers.poly import raw_add, raw_mul, raw_pow_mod, raw_rem
+from p1covers.poly import raw_add, raw_eval, raw_mul, raw_pow_mod, raw_rem
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -353,9 +353,9 @@ def test_raw_layer_agrees_without_tables(p, m, monkeypatch):
     # the same raw loops on a tabled field and on a copy of it built above
     # the table limit, whose stand-ins compute every entry
     from p1covers import field
-    from p1covers.poly import (_trace_mod, raw_axpy, raw_divrem, raw_eval, raw_factor_sqf,
-                               raw_gcd, raw_kernel, raw_mul, raw_pow_mod, raw_rank, raw_rref,
-                               raw_sqf_list)
+    from p1covers.poly import (_roots_of_split_product, _trace_mod, raw_axpy, raw_divrem,
+                               raw_eval, raw_factor_sqf, raw_gcd, raw_kernel, raw_mul,
+                               raw_pow_mod, raw_quo_root, raw_rank, raw_rref, raw_sqf_list)
     T = make_field(p, m)
     make_field(p)  # interned with its tables before the limit drops
     monkeypatch.setattr(field, "TABLE_LIMIT", 0)
@@ -392,6 +392,15 @@ def test_raw_layer_agrees_without_tables(p, m, monkeypatch):
         assert _trace_mod(T, ac, c, terms) == [] == _trace_mod(S, ac, c, terms)
         assert (_trace_mod(T, raw_add(T, a, raw_mul(T, b, c)), c, terms)
                 == _trace_mod(T, raw_rem(T, a, c), c, terms))
+        # root extraction: synthetic division and the roots of a product
+        # of distinct linear factors, scanned on T, split on its copy
+        roots = rng.sample(range(T.order), rng.randrange(1, 5))
+        f = [rng.randrange(1, T.order)]
+        for r in roots:
+            f = raw_mul(T, f, [T.neg(r), 1])
+        assert raw_quo_root(S, f, roots[0]) == raw_quo_root(T, f, roots[0])
+        assert _roots_of_split_product(S, S, f) == _roots_of_split_product(T, T, f) \
+            == sorted(roots)
     for _ in range(12):
         nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 7)
         rows = [[rng.randrange(T.order) for _ in range(ncols)] for _ in range(nrows)]
@@ -403,6 +412,27 @@ def test_raw_layer_agrees_without_tables(p, m, monkeypatch):
         assert raw_rank(S, rows, ncols) == raw_rank(T, rows, ncols)
         assert raw_rref(S, rows, ncols) == raw_rref(T, rows, ncols)
         assert raw_kernel(S, rows, ncols) == raw_kernel(T, rows, ncols)
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 4), (7, 4), (2, 12)])
+def test_quo_root_is_exact_division(p, m):
+    # one synthetic-division pass: quotient times (x - r) gives a back, in
+    # tabled and untabled fields, and a non-root leaves a remainder
+    from p1covers.poly import raw_quo_root
+    S = make_field(p, m)
+    rng = random.Random(p ** m)
+    for deg in (0, 1, 2, 5, 9):
+        b = [rng.randrange(S.order) for _ in range(deg)] + [rng.randrange(1, S.order)]
+        r = rng.randrange(S.order)
+        a = raw_mul(S, b, [S.neg(r), 1])
+        assert raw_quo_root(S, a, r) == b
+        assert raw_mul(S, raw_quo_root(S, a, r), [S.neg(r), 1]) == a
+        others = [c for c in rng.sample(range(S.order), 8) if raw_eval(S, a, c)]
+        for c in others[:2]:
+            with pytest.raises(ArithmeticError):
+                raw_quo_root(S, a, c)
+    with pytest.raises(ArithmeticError):
+        raw_quo_root(S, [1], 0)
 
 
 def _pow_mod_by_raw_mul(S, base, e, mod):
