@@ -50,15 +50,16 @@ the squarefree structure, exact and extension-free, and
 cover._branch_divisor finds the divisor points, the only part that may
 need an extension field, from the same split, when cheap or requested.
 Both are computed once per x -> ax + b orbit of keys, on the first key F
-met of it: the first key of a key is the least key of its x -> ax orbit,
+met of it, and _length_structure keeps them in one memo for the whole
+orbit: the first key of a key is the least key of its x -> ax orbit,
 and it depends on that orbit alone, so the tasks' tables agree on it and
 the merge only adds counts and dimensions. A translate F(x + b) has the
 same length structure, and its points are F's minus b; its link names
 the first key f of its orbit and the e with F(x + b) = monic(f(γ^e x)),
-so f has the points (r - b) γ^e for the points r of F, and a key reached
-from f by x -> ax has f's points times a^-1. The class total is checked
-against its closed form, from which Burnside gives the Frobenius orbit
-count.
+so the memo gives f F's shape, the points r - b and e, and a key
+monic(f(γ^k x)) has the points (r - b) γ^(e - k). The class total is
+checked against its closed form, from which Burnside gives the Frobenius
+orbit count.
 """
 
 from __future__ import annotations
@@ -444,7 +445,7 @@ def _merge_tables(dst, src):
     return dst
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CensusRecord:
     """All covers over F_q sharing one monic discriminant."""
 
@@ -508,38 +509,32 @@ class CensusResult:
                 "records": [r.to_json() for r in self.records]}
 
 
-def _length_structure(S, key, d, memo, moves):
-    """cover._branch_shape of a first key, read from memo. On a miss it is
-    computed once and stored as well under each first key of moves, the
-    first keys of its translates (_translates), which share it; their
-    entries carry no squarefree list, which is the key's own."""
+def _length_structure(S, table, key, d, memo, points, max_ext):
+    """(finite, l_inf, profile, wild, points, split_ok, e) of a first key,
+    read from memo. On a miss the key's x -> ax + b orbit is filled at
+    once: cover._branch_shape of the key and, when points is set, its
+    divisor points, stored under the key with e = 0 and under the first
+    key f of each translate key(x + b), b in F_q^*, with the same shape,
+    the points moved by -b and the e with key(x + b) = monic(f(γ^e x)),
+    read off the translate's link in table for the first b that reaches
+    f; without points, f shares the key's own entry. Of the keys of the
+    orbit only the record being built, whose first key is key, has left
+    table (a constant key is its own translate): an earlier one would
+    have filled the orbit already."""
     out = memo.get(key)
     if out is None:
-        out = memo[key] = _branch_shape(S, key, d)
-        moved = out[:4] + (None,)
-        for f in moves:
-            memo[f] = moved
-    return out
-
-
-def _translates(S, table, key):
-    """{f: (b, e)} over the translates key(x + b), b in F_q^*, whose x -> ax
-    orbit is not key's own: f is the translate's first key and key(x + b)
-    = monic(f(γ^e x)), read off the translate's link in table, for the
-    first b that reaches f. A constant key is its own translate. Of the
-    keys in key's x -> ax + b orbit only the record being built, whose
-    first key is key, has left table: an earlier one would have filled
-    the orbit's branch data already."""
-    out = {}
-    if len(key) > 1:
+        finite, l_inf, profile, wild, sqf = _branch_shape(S, key, d)
+        div, ok = _materialize_divisor(S, key, l_inf, max_ext, sqf) if points else (None, False)
+        out = memo[key] = (finite, l_inf, profile, wild, div, ok, 0)
         for b in range(1, S.order):
             t = tuple(_translate(S, key, b))
             rec = table.get(t)
             if rec is None:
                 continue                    # the record being built
             f, e = rec[2] or (t, 0)
-            if f != key and f not in out:
-                out[f] = (b, e)
+            if f not in memo:
+                memo[f] = out if div is None else (
+                    finite, l_inf, profile, wild, _moved_divisor(S, div, b, 1), ok, e)
     return out
 
 
@@ -593,35 +588,21 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
                 _merge_tables(table, part)
     else:
         _merge_tables(table, _scan_chunk(tasks[0]))
-    # a key has its first key's branch data. A first key F met for the
-    # first time stands for its whole x -> ax + b orbit: its branch data is
-    # computed once and stored also under the first key f of each
-    # translate, F(x + b) = monic(f(γ^e x)), with F's points r moved to
-    # r - b, the points of F(x + b), and with e. A key monic(f(γ^k x))
-    # then has the points (r - b) γ^(e - k), one product per point
-    exp = _scaling(spec, d)[0] if points else None
-    shapes = {}
-    divisors = {}
+    # a key monic(f(γ^k x)) has the branch data of its first key f, read
+    # from _length_structure, with f's points times γ^(e - k), one
+    # product per point
+    exp = _scaling(spec, d)[0]
+    memo = {}
     records = []
     keys = sorted(table)
     keys.sort(key=len)          # stable: by degree, then by coefficients
     for key in keys:
         count, dims, link = table.pop(key)
         first, k = (key, 0) if link is None else link
-        moves = None if first in shapes else _translates(spec, table, first)
-        finite, l_inf, profile, wild, sqf = _length_structure(spec, first, d, shapes, moves)
-        lengths = None
-        split_ok = False
-        if points:
-            if moves is not None:
-                div, ok = _materialize_divisor(spec, first, l_inf, max_ext, sqf)
-                divisors[first] = div, ok, 0
-                for f, (b, e) in moves.items():
-                    moved = None if div is None else _moved_divisor(spec, div, b, 1)
-                    divisors[f] = moved, ok, e
-            lengths, split_ok, e = divisors[first]
-            if lengths is not None and e != k:
-                lengths = _moved_divisor(spec, lengths, 0, exp[e - k])
+        finite, l_inf, profile, wild, lengths, split_ok, e = _length_structure(
+            spec, table, first, d, memo, points, max_ext)
+        if lengths is not None and e != k:
+            lengths = _moved_divisor(spec, lengths, 0, exp[e - k])
         records.append(CensusRecord(
             disc=Poly._raw(spec, key), lengths=lengths,
             finite_lengths=finite, l_inf=l_inf, class_count=count,

@@ -16,7 +16,7 @@ import random
 import sys
 
 from .cartier import image_T, kernel_T, operator_matrix
-from .census import census_by_disc, tame_violations
+from .census import DEFAULT_BUDGET, census_by_disc, tame_violations
 from .cover import Cover
 from .deform import brute_force_tangent, check_lift_order, lift_deformation, tangent_dim
 from .errors import BudgetExceeded, InputError, SplitBoundExceeded
@@ -90,7 +90,7 @@ def build_parser():
 
     sp = sub.add_parser("census", help="census of all classes over F_q by discriminant")
     sp.add_argument("--d", type=int, required=True, help="cover degree")
-    sp.add_argument("--budget", type=int, default=2_000_000)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--no-tangent", action="store_true", dest="no_tangent",
                     help="skip tangent dimensions")
     points = sp.add_mutually_exclusive_group()

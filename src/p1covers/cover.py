@@ -473,13 +473,13 @@ def _branch_divisor(S, sqf, l_inf, max_ext):
     """(Divisor of the roots of the squarefree list sqf with l_inf at INF,
     or None when some factor does not split within max_ext; the raw
     unsplit residual, [1] when all split)."""
-    roots, residual = raw_sqf_roots(S, sqf, max_ext)
+    T, roots, residual = raw_sqf_roots(S, sqf, max_ext)
     if len(residual) > 1:
         return None, residual
-    points = {pt.code: e for pt, e in roots}
+    points = dict(roots)
     if l_inf > 0:
         points[INF] = l_inf
-    return Divisor._raw(roots[0][0].spec if roots else None, points), residual
+    return Divisor._raw(T if roots else None, points), residual
 
 
 def make_cover(g: Poly, h: Poly) -> Cover:

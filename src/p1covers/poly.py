@@ -26,11 +26,11 @@ root comes from a scan of the codes that resumes where the last one
 stopped, above the table limit from the degree-1 case of the equal-degree
 split, whose splitters skip the base field's image, the codes with
 c^|base| = c: they take one value on a whole orbit. Its modular powers
-and traces run on packed residues. `raw_sqf_roots` does it from a
-squarefree list that the caller already has; `roots_with_multiplicity`
-is its `Poly` wrapper. Matrix ranks over the rational function field
-k(X) use fraction-free elimination so no general rational-function type
-is ever needed.
+and traces run on packed residues. `raw_sqf_roots` does it on codes,
+from a squarefree list that the caller already has;
+`roots_with_multiplicity` is its `Poly` wrapper. Matrix ranks over the
+rational function field k(X) use fraction-free elimination so no general
+rational-function type is ever needed.
 """
 
 from __future__ import annotations
@@ -498,13 +498,15 @@ def roots_with_multiplicity(a: "Poly", max_ext: int = 4):
     f = list(a.c)
     if not f:
         raise InputError("zero polynomial has no root data")
-    roots, residual = raw_sqf_roots(S, raw_sqf_list(S, f), max_ext)
-    return roots, Poly(S, residual)
+    T, roots, residual = raw_sqf_roots(S, raw_sqf_list(S, f), max_ext)
+    return [(FieldElement(T, c), e) for c, e in roots], Poly(S, residual)
 
 
 def raw_sqf_roots(S, sqf, max_ext):
     """roots_with_multiplicity of a polynomial over S from its squarefree
-    list sqf = raw_sqf_list(S, a), with the residual as a raw list."""
+    list sqf = raw_sqf_list(S, a), on codes: (T, roots, residual) with T
+    the points' field, roots the sorted (code in T, multiplicity) pairs
+    and the residual a raw list."""
     if max_ext < 1:
         raise InputError("max_ext must be at least 1")
     split_pieces = []
@@ -538,13 +540,13 @@ def raw_sqf_roots(S, sqf, max_ext):
         for c in codes:
             for _ in range(twist):
                 c = sub.frob_code(c)
-            roots.append((FieldElement(target, target.embed_code(c, sub)), e))
+            roots.append((target.embed_code(c, sub), e))
     residual = [1]
     for fac, e in residual_parts:
         for _ in range(e):
             residual = raw_mul(S, residual, fac)
-    roots.sort(key=lambda t: t[0].code)
-    return roots, residual
+    roots.sort()
+    return target, roots, residual
 
 
 # -- linear algebra over F_q -------------------------------------------------

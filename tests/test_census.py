@@ -10,8 +10,8 @@ from p1covers import (INF, BudgetExceeded, Cover, Divisor, InputError, Mobius, P
                       SplitBoundExceeded, census_by_disc, enumerate_covers, make_field,
                       raw_plane_count, verify_theorem_char23, wild_family)
 from p1covers.census import (CensusRecord, _admissible, _chart_block, _class_total, _images,
-                             _materialize_divisor, _merge_tables, _moved_divisor, _scaling,
-                             _scan_chunk, _tangent_dim_raw)
+                             _materialize_divisor, _merge_tables, _monic_images,
+                             _moved_divisor, _scaling, _scan_chunk, _tangent_dim_raw)
 from p1covers.cover import _branch_shape
 from p1covers.deform import _columns_to_rows, _tangent_columns_raw
 from p1covers.field import FieldElement, embed
@@ -26,6 +26,7 @@ F7 = make_field(7)
 F8 = make_field(2, 3)
 F9 = make_field(3, 2)
 F16 = make_field(2, 4)
+F25 = make_field(5, 2)
 F49 = make_field(7, 2)
 
 
@@ -718,13 +719,10 @@ def test_census_points_match_direct_root_finding(spec, d, max_ext, monkeypatch):
         assert sum(not r.split_ok for r in res.records) == 370 and len(res.records) == 445
 
 
-@pytest.mark.parametrize("spec", [F2, F3, F4])
-@pytest.mark.parametrize("d", [1, 2])
-def test_census_branch_data_matches_per_key_recomputation(spec, d):
-    # small degrees: no scaling lists at d = 1, q - 1 = 1 over F_2, and
-    # constant keys; every record's JSON equals the one built from its
-    # own key's branch shape and divisor
-    res = census_by_disc(spec, d, points=True)
+def assert_branch_data_per_key(spec, d, with_tangent=True):
+    # every record's JSON equals the one built from its own key's branch
+    # shape and divisor
+    res = census_by_disc(spec, d, with_tangent=with_tangent, points=True)
     for rec in res.records:
         finite, l_inf, profile, wild, _ = _branch_shape(spec, rec.disc.c, d)
         lengths, split_ok = _materialize_divisor(spec, rec.disc.c, l_inf, 4)
@@ -733,8 +731,38 @@ def test_census_branch_data_matches_per_key_recomputation(spec, d):
                             tangent_dims=rec.tangent_dims, wild=wild, split_ok=split_ok,
                             factor_profile=profile)
         assert json.dumps(rec.to_json()) == json.dumps(want.to_json())
+    return res
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4])
+@pytest.mark.parametrize("d", [1, 2])
+def test_census_branch_data_matches_per_key_recomputation(spec, d):
+    # small degrees: no scaling lists at d = 1, q - 1 = 1 over F_2, and
+    # constant keys
+    res = assert_branch_data_per_key(spec, d)
     if d == 1:
         assert [tuple(r.disc.c) for r in res.records] == [(1,)]
+
+
+@pytest.mark.parametrize("spec,d", [(F5, 3), (F7, 3), (F3, 4)])
+def test_census_moved_branch_data_matches_per_key_recomputation(spec, d):
+    # censuses where a translate's points are moved by b != 0 and then
+    # by a scaling γ^(e - k) with e != k
+    assert_branch_data_per_key(spec, d, with_tangent=False)
+
+
+@pytest.mark.parametrize("spec", [F4, F8, F9, F25, F49])
+def test_monic_images_match_field_products(spec):
+    # the scaling images of a monic key from the exp/log lists, for every
+    # orbit length s and keys of degree 0 to 2d - 2
+    d = 3
+    exp, log = _scaling(spec, d)
+    rng = random.Random(spec.order)
+    for n in range(2 * d - 1):
+        for _ in range(4):
+            key = tuple([rng.randrange(spec.order) for _ in range(n)] + [1])
+            for s in range(1, spec.order):
+                assert _monic_images(exp, log, key, s) == orbit(spec, key, s)
 
 
 # points in the tabled F_{3^4} and the untabled F_{7^4}, moved by b and a

@@ -621,7 +621,9 @@ def test_split_product_roots_scan_and_split_agree(p, m, r, monkeypatch):
         assert _roots_of_split_product(S, U, gt) == roots
         f = raw_mul(S, g, raw_mul(S, g, list(irreducibles[0])))
         want, residual = roots_with_multiplicity(Poly._raw(S, f), r)
-        assert raw_sqf_roots(S, raw_sqf_list(S, f), r) == (want, list(residual.c))
+        assert raw_sqf_roots(S, raw_sqf_list(S, f), r) == (
+            T, [(pt.code, e) for pt, e in want], list(residual.c))
+        assert all(pt.spec == T for pt, _ in want)
         assert sum(e for _, e in want) == len(f) - 1
 
 
