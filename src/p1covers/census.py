@@ -109,9 +109,12 @@ def _scaling(S, d):
 
 
 def _images(exp, log, a, s):
-    """a(γ^k x) for k = 0, 1, ..., s - 1, as tuples, for raw a of degree
-    below 2d: coefficient i times γ^(k i) runs through exp in steps of i."""
-    return zip(*[exp[log[c]:log[c] + i * s:i] if c and i and s > 1 else [c] * s
+    """a(γ^k x) for k = 0, 1, ..., s - 1, for raw a of degree below 2d: a
+    itself when s = 1, else tuples, coefficient i times γ^(k i) running
+    through exp in steps of i."""
+    if s == 1:
+        return (a,)
+    return zip(*[exp[log[c]:log[c] + i * s:i] if c and i else [c] * s
                  for i, c in enumerate(a)])
 
 
@@ -409,13 +412,16 @@ def _scan_chunk(args):
             for b in range(t):
                 imgs = _images(exp, log, _translate(S, disc, b) if b else disc, s)
                 keys = [tuple(raw_monic(S, img)) for img in imgs]
-                orbit = keys if s == full or not b else _monic_images(exp, log, keys[0], full)
-                first = min(orbit)
-                k0 = orbit.index(first)
-                period = len(orbit) // orbit.count(first)   # size of the orbit of keys
+                first = None            # the translate's link data, on its first new key
                 for k, key in enumerate(keys):
                     rec = table.get(key)
                     if rec is None:
+                        if first is None:
+                            orbit = keys if s == full or not b else \
+                                _monic_images(exp, log, keys[0], full)
+                            first = min(orbit)
+                            k0 = orbit.index(first)
+                            period = len(orbit) // orbit.count(first)   # size of the orbit
                         j = (k - k0) % period
                         table[key] = [1, {dim: 1} if with_tangent else {},
                                       (first, j) if j else None]
@@ -428,11 +434,11 @@ def _scan_chunk(args):
 
 
 def _merge_tables(dst, src):
-    """Add the records of src, which is used up, into dst; a link depends
-    on its key alone, so both tables hold the same one."""
+    """Add the records of src, which is used up, into dst and return dst,
+    or src itself when dst is empty; a link depends on its key alone, so
+    both tables hold the same one."""
     if not dst:
-        dst.update(src)
-        return dst
+        return src
     for key, new in src.items():
         rec = dst.get(key)
         if rec is None:
@@ -585,9 +591,9 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=parts) as pool:
             for part in pool.map(_scan_chunk, tasks):
-                _merge_tables(table, part)
+                table = _merge_tables(table, part)
     else:
-        _merge_tables(table, _scan_chunk(tasks[0]))
+        table = _merge_tables(table, _scan_chunk(tasks[0]))
     # a key monic(f(γ^k x)) has the branch data of its first key f, read
     # from _length_structure, with f's points times γ^(e - k), one
     # product per point
@@ -634,13 +640,13 @@ def _moved_divisor(S, div, b, a):
     T = div.spec
     if T is None:
         return div
-    b, a = T.embed_code(b, S), T.embed_code(a, S)
-    st, mt, q = T._sub_t, T._mul_t, T.order
+    b, a = T.neg(T.embed_code(b, S)), T.embed_code(a, S)
+    at, mt, q = T._add_t, T._mul_t, T.order
     moved = {}
     for c, m in div._points.items():
         if c is not INF:
             if b:
-                c = st[c * q + b]
+                c = at[c * q + b]
             if a != 1:
                 c = mt[c * q + a]
         moved[c] = m

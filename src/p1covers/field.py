@@ -6,18 +6,19 @@ the residue modulo the defining polynomial. That encoding *is* the fixed
 element order used everywhere (constant term fastest).
 
 Every field of order up to `TABLE_LIMIT` gets flat q*q lookup tables for
-add/sub/mul (entry `a*q + b`) plus neg/inv, built when the field is made,
-so that downstream polynomial loops run at table speed. F_q^* is
-cyclic, so the powers of the least primitive element give exp/log
-tables, and each multiplication row is the exp list read at shifted
-logs. Each addition row is an earlier row translated by p^k (k the
-lowest nonzero digit), and each subtraction row is an addition row read
-through negation. The build costs at most q-1 field products per
-primitive-element candidate and O(q) Python steps; the q^2 entries of
-each table are filled by C-level gathers and share one int object per
-code. A larger field gets read-only stand-ins in the same five slots
-(`_Computed`, `_ComputedPair`): indexing one at `a*q + b` (at `a` for
-neg and inv) computes the entry. So `FieldSpec`'s ops and `poly`'s raw
+add and mul (entry `a*q + b`) plus neg and inv, built when the field is
+made, so that downstream polynomial loops run at table speed; a - b is
+a + (-b), and a loop that subtracts a product folds the sign into the
+multiplier. F_q^* is cyclic, so the powers of its least primitive
+element, the first g of 1, 2, ... with g^((q-1)/r) != 1 for each prime r
+dividing q-1, give exp/log tables, and the field keeps them. Each
+multiplication row is the exp list read at shifted logs, each addition
+row an earlier row translated by p^k (k the lowest nonzero digit). The
+build costs about q field products and O(q) Python steps; the q^2
+entries are filled by C-level gathers and share one int object per code.
+A larger field keeps the read-only stand-ins every field starts with
+(`_Computed`, `_ComputedPair`), whose entry at `a*q + b` (at `a` for neg
+and inv) is computed when read. So `FieldSpec`'s ops and `poly`'s raw
 layer index one way; only this module decides which kind a field has,
 and `FieldSpec.tabled` reports it to the callers that choose by it:
 root finding, which scans the codes of a tabled field, and `poly`'s
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import functools
 import re
-from itertools import product
+from itertools import accumulate, product
 from operator import itemgetter
 
 from .errors import InputError
@@ -216,7 +217,7 @@ class _Computed:
 
 
 class _ComputedPair:
-    """Read-only stand-in for the add, sub or mul table of a field too
+    """Read-only stand-in for the add or mul table of a field too
     large to tabulate: t[a*q + b] computes op(a, b)."""
 
     __slots__ = ("op", "q")
@@ -233,8 +234,8 @@ class _ComputedPair:
 class FieldSpec:
     """A concrete finite field F_{p^m}; construct via make_field."""
 
-    __slots__ = ("p", "m", "modulus", "order", "_mul_t", "_add_t", "_sub_t",
-                 "_neg_t", "_inv_t", "_embed_images", "_ppow", "_pack_bits",
+    __slots__ = ("p", "m", "modulus", "order", "_mul_t", "_add_t", "_neg_t",
+                 "_inv_t", "_powers", "_embed_images", "_ppow", "_pack_bits",
                  "_chunk_order", "_chunks", "_chunk_shift", "_chunk_digits",
                  "_chunk_packs", "_red_digits", "_packed_red", "_strs", "__weakref__")
 
@@ -245,6 +246,7 @@ class FieldSpec:
         self.order = p ** m
         self._embed_images = {}
         self._strs = None  # element_str's table, built on its first call
+        self._powers = None  # _primitive_powers, listed on its first call
         self._ppow = [p ** i for i in range(m)]
         # packing puts digits this many bits apart, which turns digit
         # convolution into one int multiply
@@ -267,15 +269,14 @@ class FieldSpec:
             P, mod = _make_field_cached(p, 1), list(modulus)
             self._red_digits = [raw_rem(P, [0] * (m + k) + [1], mod) for k in range(m - 1)]
         self._packed_red = [_pack(r, self._pack_bits) for r in self._red_digits]
-        if self.order <= TABLE_LIMIT:
+        # stand-ins that compute each entry; tables built on them replace them
+        q = self.order
+        self._add_t = _ComputedPair(self._add_slow, q)
+        self._mul_t = _ComputedPair(self._mul_slow, q)
+        self._neg_t = _Computed(self._neg_slow)
+        self._inv_t = _Computed(self._inv_slow)
+        if q <= TABLE_LIMIT:
             self._build_tables()
-        else:
-            q = self.order
-            self._add_t = _ComputedPair(self._add_slow, q)
-            self._sub_t = _ComputedPair(self._sub_slow, q)
-            self._mul_t = _ComputedPair(self._mul_slow, q)
-            self._neg_t = _Computed(self._neg_slow)
-            self._inv_t = _Computed(self._inv_slow)
 
     @property
     def tabled(self) -> bool:
@@ -348,24 +349,19 @@ class FieldSpec:
                 k += 1
             prev = (a - self._ppow[k]) * q
             add.extend(shift[k](add[prev:prev + q]))
-        through_neg = itemgetter(*neg)  # a - b = a + (-b)
-        sub = []
-        for base in range(0, q * q, q):
-            sub.extend(through_neg(add[base:base + q]))
-        self._add_t, self._sub_t, self._mul_t = add, sub, mul
-        self._neg_t, self._inv_t = neg, inv
+        self._add_t, self._mul_t, self._neg_t, self._inv_t = add, mul, neg, inv
 
     def _primitive_powers(self):
-        """[g^0, ..., g^(q-2)] for the least primitive element g of F_q^*;
-        each candidate costs at most q-1 products."""
-        n = self.order - 1
-        for g in range(1, self.order):
-            powers, x = [1], g
-            while x != 1 and len(powers) < n:
-                powers.append(x)
-                x = self._mul_slow(x, g)
-            if len(powers) == n:
-                return powers
+        """[g^0, ..., g^(q-2)] for the least primitive element g of F_q^*,
+        listed on the first call and kept: g is the first of 1, 2, ...
+        with g^((q-1)/r) != 1 for every prime r dividing q-1."""
+        if self._powers is None:
+            n = self.order - 1
+            exps = [n // r for r in _prime_divisors(n)]
+            g = next(g for g in range(1, self.order)
+                     if all(self.pow_code(g, e) != 1 for e in exps))
+            self._powers = list(accumulate([g] * (n - 1), self.mul, initial=1))
+        return self._powers
 
     def _mul_slow(self, a: int, b: int) -> int:
         p, m = self.p, self.m
@@ -404,10 +400,6 @@ class FieldSpec:
         p = self.p
         return self.encode([(x + y) % p for x, y in zip(self.decode(a), self.decode(b))])
 
-    def _sub_slow(self, a: int, b: int) -> int:
-        p = self.p
-        return self.encode([(x - y) % p for x, y in zip(self.decode(a), self.decode(b))])
-
     def _neg_slow(self, a: int) -> int:
         p = self.p
         return self.encode([(-x) % p for x in self.decode(a)])
@@ -416,7 +408,7 @@ class FieldSpec:
         return self._add_t[a * self.order + b]
 
     def sub(self, a: int, b: int) -> int:
-        return self._sub_t[a * self.order + b]
+        return self._add_t[a * self.order + self._neg_t[b]]
 
     def neg(self, a: int) -> int:
         return self._neg_t[a]

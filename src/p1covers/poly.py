@@ -3,7 +3,7 @@ field extensions and the exact linear algebra used downstream.
 
 Two layers. The `raw_*` functions operate on plain lists of element codes
 (little-endian, trailing zeros trimmed, [] is the zero polynomial) and
-index the field's add/sub/mul/neg tables directly, one loop per
+index the field's add/mul/neg tables directly, one loop per
 operation: `field` gives a field above its table limit stand-ins that
 compute each entry, so the same loops serve every field. Two loops
 choose by `FieldSpec.tabled`: above the limit, `raw_pow_mod` and
@@ -62,10 +62,10 @@ def raw_add(S, a, b):
 
 
 def raw_sub(S, a, b):
-    t, q = S._sub_t, S.order
+    t, nt, q = S._add_t, S._neg_t, S.order
     out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
-        out[i] = t[out[i] * q + c]
+        out[i] = t[out[i] * q + nt[c]]
     return raw_trim(out)
 
 
@@ -115,20 +115,20 @@ def raw_divrem(S, a, b):
         return [], r
     inv_lb = 1 if b[-1] == 1 else S.inv(b[-1])
     quo = [0] * (len(r) - db)
-    mt, st, q = S._mul_t, S._sub_t, S.order
-    while r and len(r) - 1 >= db:
-        k = len(r) - 1 - db
-        f = mt[r[-1] * q + inv_lb]
-        quo[k] = f
+    mt, at, nt, q = S._mul_t, S._add_t, S._neg_t, S.order
+    # one pass down the top index: r[k + db] is cleared by adding -f b
+    # x^k, and the cells from db up are dropped at the end
+    for k in range(len(quo) - 1, -1, -1):
+        f = mt[r[k + db] * q + inv_lb]
         if f:
-            row = f * q
+            quo[k] = f
+            row = nt[f] * q
             for j in range(db):
                 bj = b[j]
                 if bj:
-                    r[k + j] = st[r[k + j] * q + mt[row + bj]]
-        r.pop()
-        raw_trim(r)
-    return raw_trim(quo), r
+                    r[k + j] = at[r[k + j] * q + mt[row + bj]]
+    del r[db:]
+    return raw_trim(quo), raw_trim(r)
 
 
 def raw_rem(S, a, b):
@@ -557,7 +557,7 @@ def _echelon(S, rows, ncols, reduced=False):
     rows, pivot column list). reduced=True scales each pivot to 1 and
     clears its column above the pivot too: the reduced row echelon form."""
     rows = [list(r) for r in rows if any(r)]
-    mt, st, q = S._mul_t, S._sub_t, S.order
+    mt, at, nt, q = S._mul_t, S._add_t, S._neg_t, S.order
     pivots = []
     r = 0
     for col in range(ncols):
@@ -580,11 +580,11 @@ def _echelon(S, rows, ncols, reduced=False):
             ri = rows[i]
             e = ri[col]
             if e and i != r:
-                row = mt[e * q + inv] * q
+                row = nt[mt[e * q + inv]] * q  # ri - e inv prow
                 for j in range(col, ncols):
                     pj = prow[j]
                     if pj:
-                        ri[j] = st[ri[j] * q + mt[row + pj]]
+                        ri[j] = at[ri[j] * q + mt[row + pj]]
         pivots.append(col)
         r += 1
     return rows[:r], pivots

@@ -594,7 +594,7 @@ def test_scan_parts_merge_to_one_scan(spec, d):
         for part in range(parts):
             table = _scan_chunk((spec.p, spec.m, d, part, parts, True))
             assert sum(rec[0] for rec in table.values()) < total
-            _merge_tables(merged, table)
+            merged = _merge_tables(merged, table)
         assert merged == whole
 
 

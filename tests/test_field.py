@@ -358,7 +358,7 @@ def test_tables_match_slow_arithmetic(p, m, monkeypatch):
         da = digits[a]
         assert spec._add_t[a * q:a * q + q] == [
             code[tuple((x + y) % p for x, y in zip(da, db))] for db in digits]
-        assert spec._sub_t[a * q:a * q + q] == [
+        assert [spec.sub(a, b) for b in range(q)] == [
             code[tuple((x - y) % p for x, y in zip(da, db))] for db in digits]
         assert spec._mul_t[a * q:a * q + q] == [spec._mul_slow(a, b) for b in range(q)]
     if m > 1:
@@ -370,6 +370,24 @@ def test_tables_match_slow_arithmetic(p, m, monkeypatch):
         assert spec._chunks == 1 and copy._chunks == m and not copy.tabled
         for a in rows:
             assert spec._mul_t[a * q:a * q + q] == [copy.mul(a, b) for b in range(q)]
+
+
+@pytest.mark.parametrize("p,m", TABLED + [(2, 10), (3, 7)])
+def test_primitive_powers_list_the_least_generator(p, m):
+    # brute force: the order of each of 1, 2, ... by repeated products, up
+    # to the first of order q - 1, whose powers the list must hold; the
+    # order test finds the same element, and the field keeps its list
+    spec = make_field(p, m)
+    n = spec.order - 1
+    for g in range(1, spec.order):
+        powers, x = [1], g
+        while x != 1:
+            powers.append(x)
+            x = spec.mul(x, g)
+        if len(powers) == n:
+            break
+    assert spec._primitive_powers() == powers
+    assert spec._primitive_powers() is spec._primitive_powers()
 
 
 @pytest.mark.parametrize("p,m", [(3, 7), (5, 6), (7, 8), (13, 12)])
@@ -395,12 +413,15 @@ def test_chunk_tables_bounded_and_tables_unchanged():
             assert len(spec._chunk_digits) == len(spec._chunk_packs) <= TABLE_LIMIT
             if spec.order <= TABLE_LIMIT:  # one chunk: the whole code
                 assert spec._chunks == 1 and len(spec._chunk_digits) == spec.order
-    # a pinned digest of the add, sub, mul, neg and inv tables of every
-    # tabled field: the digit path that builds them changes no entry
+    # a pinned digest of the add, mul, neg and inv tables of every tabled
+    # field and of its differences a - b in table order: the digit path
+    # that builds the tables changes no entry
     h = hashlib.sha256()
     for p, m in TABLED:
         spec = make_field(p, m)
-        for t in (spec._add_t, spec._sub_t, spec._mul_t, spec._neg_t, spec._inv_t):
+        q = spec.order
+        sub = [spec.sub(a, b) for a in range(q) for b in range(q)]
+        for t in (spec._add_t, sub, spec._mul_t, spec._neg_t, spec._inv_t):
             h.update(array("H", t).tobytes())
     assert h.hexdigest() == "07f68ed9910bf15d8b2ffaa71096b5ab2ef7931a61b45da5d4f3abd6b9ad01d0"
 

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, factorization/root machinery, exact linear algebra."""
 
 import random
+from functools import reduce
 from itertools import product as iproduct
 
 import pytest
@@ -355,7 +356,8 @@ def test_raw_layer_agrees_without_tables(p, m, monkeypatch):
     from p1covers import field
     from p1covers.poly import (_roots_of_split_product, _trace_mod, raw_axpy, raw_divrem,
                                raw_eval, raw_factor_sqf, raw_gcd, raw_kernel, raw_mul,
-                               raw_pow_mod, raw_quo_root, raw_rank, raw_rref, raw_sqf_list)
+                               raw_neg, raw_pow_mod, raw_quo_root, raw_rank, raw_rref,
+                               raw_sqf_list, raw_sub)
     T = make_field(p, m)
     make_field(p)  # interned with its tables before the limit drops
     monkeypatch.setattr(field, "TABLE_LIMIT", 0)
@@ -371,6 +373,13 @@ def test_raw_layer_agrees_without_tables(p, m, monkeypatch):
         ac, bc = raw_mul(T, a, c), raw_mul(T, b, c)
         assert raw_mul(S, a, b) == raw_mul(T, a, b)
         assert raw_divrem(S, ac, b) == raw_divrem(T, ac, b)
+        # subtraction adds the negation, and division folds the sign into
+        # its multiplier: a = quo c + rem with deg rem < deg c, c not monic
+        assert raw_sub(S, a, ac) == raw_sub(T, a, ac) == raw_add(T, a, raw_neg(T, ac))
+        assert raw_sub(S, ac, ac) == [] == raw_sub(T, ac, ac)
+        quo, rem = raw_divrem(T, a, c)
+        assert raw_divrem(S, a, c) == (quo, rem) and len(rem) < len(c)
+        assert raw_add(T, raw_mul(T, quo, c), rem) == a
         assert raw_gcd(S, ac, bc) == raw_gcd(T, ac, bc)
         x = rng.randrange(T.order)
         assert raw_eval(S, ac, x) == raw_eval(T, ac, x)
@@ -409,9 +418,17 @@ def test_raw_layer_agrees_without_tables(p, m, monkeypatch):
         rows.append([0] * ncols)
         axpy = [T.add(x, T.mul(k, y)) for x, y in zip(rows[0], rows[1])]
         assert raw_axpy(S, rows[0], k, rows[1]) == raw_axpy(T, rows[0], k, rows[1]) == axpy
-        assert raw_rank(S, rows, ncols) == raw_rank(T, rows, ncols)
+        # elimination folds the sign into the row multiplier: the two added
+        # rows add no rank, row rank is column rank, and each kernel vector
+        # is orthogonal to every row
+        cols = [list(col) for col in zip(*rows)]
+        rank = raw_rank(T, rows[:nrows], ncols)
+        assert raw_rank(S, rows, ncols) == raw_rank(T, rows, ncols) == rank \
+            == raw_rank(S, cols, len(rows)) == raw_rank(T, cols, len(rows))
         assert raw_rref(S, rows, ncols) == raw_rref(T, rows, ncols)
-        assert raw_kernel(S, rows, ncols) == raw_kernel(T, rows, ncols)
+        kernel = raw_kernel(T, rows, ncols)
+        assert raw_kernel(S, rows, ncols) == kernel and len(kernel) == ncols - rank
+        assert not any(reduce(T.add, map(T.mul, row, v), 0) for row in rows for v in kernel)
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 4), (7, 4), (2, 12)])
