@@ -49,17 +49,24 @@ of a single cover: cover._branch_shape reads lengths and wildness off
 the squarefree structure, exact and extension-free, and
 cover._branch_divisor finds the divisor points, the only part that may
 need an extension field, from the same split, when cheap or requested.
-Both are computed once per x -> ax + b orbit of keys, on the first key F
+Both are computed once per PGL_2(F_q) orbit of keys, on the first key F
 met of it, and _length_structure keeps them in one memo for the whole
 orbit: the first key of a key is the least key of its x -> ax orbit,
 and it depends on that orbit alone, so the tasks' tables agree on it and
-the merge only adds counts and dimensions. A translate F(x + b) has the
-same length structure, and its points are F's minus b; its link names
-the first key f of its orbit and the e with F(x + b) = monic(f(γ^e x)),
-so the memo gives f F's shape, the points r - b and e, and a key
-monic(f(γ^k x)) has the points (r - b) γ^(e - k). The class total is
-checked against its closed form, from which Burnside gives the Frobenius
-orbit count.
+the merge only adds counts and dimensions. Precomposing with a Moebius
+map moves the branch points along and keeps the length multiset and
+wildness. By the Bruhat decomposition PGL_2 = B u BwB, with B the
+affine maps and w: x -> 1/x, every x -> ax + b orbit inside F's PGL_2
+orbit is the affine orbit of F or of a reversal monic(x^(2d-2) t(1/x))
+of one of F's q translates t = F(x + b). A translate has F's length
+structure, and its points are F's minus b. A reversal of t swaps the
+lengths at 0 and infinity: its l_inf is the multiplicity z of the root
+0 of t, its length at 0 is F's l_inf, and its points are 1/(c - b) for
+F's points c, with b -> INF and INF -> 0. A key's link names the first
+key f of its x -> ax orbit and the e with key = monic(f(γ^e x)), so the
+memo gives f the moved data and e, and a key monic(f(γ^k x)) has the
+points times γ^(e - k). The class total is checked against its closed
+form, from which Burnside gives the Frobenius orbit count.
 """
 
 from __future__ import annotations
@@ -517,31 +524,78 @@ class CensusResult:
 
 def _length_structure(S, table, key, d, memo, points, max_ext):
     """(finite, l_inf, profile, wild, points, split_ok, e) of a first key,
-    read from memo. On a miss the key's x -> ax + b orbit is filled at
+    read from memo. On a miss the key's PGL_2(F_q) orbit is filled at
     once: cover._branch_shape of the key and, when points is set, its
-    divisor points, stored under the key with e = 0 and under the first
-    key f of each translate key(x + b), b in F_q^*, with the same shape,
-    the points moved by -b and the e with key(x + b) = monic(f(γ^e x)),
-    read off the translate's link in table for the first b that reaches
-    f; without points, f shares the key's own entry. Of the keys of the
-    orbit only the record being built, whose first key is key, has left
-    table (a constant key is its own translate): an earlier one would
-    have filled the orbit already."""
+    divisor points, stored under the key with e = 0 and moved to its
+    translates by _fill_translates. Then, for each translate t = key(x + b),
+    b in F_q, the reversal R = monic(x^(2d-2) t(1/x)): when the first key
+    f of R, read off R's link in table, is not in memo yet, R's affine
+    orbit is new, and R's data fill it the same way. R has the key's
+    wildness and split_ok; it swaps the key's lengths at 0 and infinity
+    (_swapped), and its points are the key's moved by x -> 1/(x - b).
+
+    Memo entries come in whole PGL_2 orbits, so a first key found in memo
+    means its affine orbit is filled. Of the keys of the orbit only the
+    record being built, whose first key is key, has left table (a key may
+    be its own translate or reversal): an earlier one would have filled
+    the orbit already."""
     out = memo.get(key)
     if out is None:
         finite, l_inf, profile, wild, sqf = _branch_shape(S, key, d)
         div, ok = _materialize_divisor(S, key, l_inf, max_ext, sqf) if points else (None, False)
-        out = memo[key] = (finite, l_inf, profile, wild, div, ok, 0)
-        for b in range(1, S.order):
-            t = tuple(_translate(S, key, b))
-            rec = table.get(t)
+        out = (finite, l_inf, profile, wild, div, ok, 0)
+        for b, t in enumerate(_fill_translates(S, table, memo, key, key, out)):
+            z = next(i for i, c in enumerate(t) if c)
+            rev = tuple(raw_monic(S, [0] * l_inf + t[z:][::-1]))
+            rec = table.get(rev)
             if rec is None:
                 continue                    # the record being built
-            f, e = rec[2] or (t, 0)
+            f, e = rec[2] or (rev, 0)
             if f not in memo:
-                memo[f] = out if div is None else (
-                    finite, l_inf, profile, wild, _moved_divisor(S, div, b, 1), ok, e)
+                fin, prof = _swapped(finite, profile, z, l_inf)
+                moved = None if div is None else _mobius_divisor(S, div, 0, 1, 1, S.neg(b))
+                _fill_translates(S, table, memo, rev, f, (fin, z, prof, wild, moved, ok, e))
     return out
+
+
+def _fill_translates(S, table, memo, key, first, entry):
+    """Store entry, the data of key, under key's first key first, and move
+    it to the first key f of each translate key(x + b), b in F_q^*, that
+    is not in memo: the points by -b and the e with key(x + b) =
+    monic(f(γ^e x)), read off the translate's link in table; without
+    points f shares entry. Returns the translates, b = 0 first."""
+    memo[first] = entry
+    div = entry[4]
+    out = [list(key)]
+    for b in range(1, S.order):
+        t = _translate(S, key, b)
+        out.append(t)
+        rec = table.get(tuple(t))
+        if rec is None:
+            continue                        # the record being built
+        f, e = rec[2] or (tuple(t), 0)
+        if f not in memo:
+            memo[f] = entry if div is None else (
+                *entry[:4], _mobius_divisor(S, div, 1, S.neg(b), 0, 1), entry[5], e)
+    return out
+
+
+def _swapped(finite, profile, z, l_inf):
+    """(finite lengths, factor profile) with one root of length z taken
+    out and one of length l_inf put in, 0 standing for none. Each
+    multiplicity has one squarefree factor, so the profile changes by one
+    in the degree of that multiplicity's factor."""
+    if z == l_inf:
+        return finite, profile
+    fin = list(finite)
+    degree = {mult: k for k, mult in profile}
+    if z:
+        fin.remove(z)
+        degree[z] -= 1
+    if l_inf:
+        fin.append(l_inf)
+        degree[l_inf] = degree.get(l_inf, 0) + 1
+    return tuple(sorted(fin)), tuple(sorted((k, mult) for mult, k in degree.items() if k))
 
 
 def _gc_paused(fn):
@@ -595,8 +649,9 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
     else:
         table = _merge_tables(table, _scan_chunk(tasks[0]))
     # a key monic(f(γ^k x)) has the branch data of its first key f, read
-    # from _length_structure, with f's points times γ^(e - k), one
-    # product per point
+    # from _length_structure, which fills them once per PGL_2 orbit of
+    # keys (reversals swap the lengths at 0 and infinity), with the
+    # stored points times γ^(e - k), one product per point
     exp = _scaling(spec, d)[0]
     memo = {}
     records = []
@@ -608,7 +663,7 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
         finite, l_inf, profile, wild, lengths, split_ok, e = _length_structure(
             spec, table, first, d, memo, points, max_ext)
         if lengths is not None and e != k:
-            lengths = _moved_divisor(spec, lengths, 0, exp[e - k])
+            lengths = _mobius_divisor(spec, lengths, exp[e - k], 0, 0, 1)
         records.append(CensusRecord(
             disc=Poly._raw(spec, key), lengths=lengths,
             finite_lengths=finite, l_inf=l_inf, class_count=count,
@@ -632,25 +687,40 @@ def _materialize_divisor(S, disc_key, l_inf, max_ext, sqf=None):
     return div, div is not None
 
 
-def _moved_divisor(S, div, b, a):
-    """div with each finite point c moved to (c - b) a, for b and a in S
-    embedded into the points' field; INF stays. The map is affine with
-    a != 0, so the moved codes stay distinct and the dict is built here,
-    code by code, for Divisor._raw."""
-    T = div.spec
+def _mobius_divisor(S, div, a, b, c, e):
+    """div with each point x moved to (a x + b) / (c x + e), for codes a,
+    b, c, e of S with a e != b c, embedded into the points' field: a point
+    with c x + e = 0 goes to INF, and INF to a / c, or stays when c = 0.
+    A Moebius map is a bijection, so the moved codes stay distinct and the
+    dict is built here, code by code, for Divisor._raw: without finite
+    points it has spec None, and INF moved onto a point of S gets S."""
+    T, pts = div.spec, div._points
     if T is None:
-        return div
-    b, a = T.neg(T.embed_code(b, S)), T.embed_code(a, S)
-    at, mt, q = T._add_t, T._mul_t, T.order
+        if not c or not pts:
+            return div
+        return Divisor._raw(S, {S.div(a, c): pts[INF]})
+    a, b, c, e = [v if v < 2 else T.embed_code(v, S) for v in (a, b, c, e)]
+    at, mt, it, q = T._add_t, T._mul_t, T._inv_t, T.order
     moved = {}
-    for c, m in div._points.items():
-        if c is not INF:
-            if b:
-                c = at[c * q + b]
-            if a != 1:
-                c = mt[c * q + a]
-        moved[c] = m
-    return Divisor._raw(T, moved)
+    if not c:                           # affine: x -> x a/e + b/e
+        if e != 1:
+            a, b = mt[a * q + it[e]], mt[b * q + it[e]]
+        for x, m in pts.items():
+            if x is not INF:
+                if a != 1:
+                    x = mt[x * q + a]
+                if b:
+                    x = at[x * q + b]
+            moved[x] = m
+        return Divisor._raw(T, moved)
+    for x, m in pts.items():
+        if x is INF:
+            x = mt[a * q + it[c]]
+        else:
+            den = at[mt[c * q + x] * q + e]
+            x = mt[at[mt[a * q + x] * q + b] * q + it[den]] if den else INF
+        moved[x] = m
+    return Divisor._raw(T if any(x is not INF for x in moved) else None, moved)
 
 
 def _count_galois_orbits(spec, d):

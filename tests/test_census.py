@@ -10,8 +10,9 @@ from p1covers import (INF, BudgetExceeded, Cover, Divisor, InputError, Mobius, P
                       SplitBoundExceeded, census_by_disc, enumerate_covers, make_field,
                       raw_plane_count, verify_theorem_char23, wild_family)
 from p1covers.census import (CensusRecord, _admissible, _chart_block, _class_total, _images,
-                             _materialize_divisor, _merge_tables, _monic_images,
-                             _moved_divisor, _scaling, _scan_chunk, _tangent_dim_raw)
+                             _materialize_divisor, _merge_tables, _mobius_divisor,
+                             _monic_images, _scaling, _scan_chunk, _swapped,
+                             _tangent_dim_raw)
 from p1covers.cover import _branch_shape
 from p1covers.deform import _columns_to_rows, _tangent_columns_raw
 from p1covers.field import FieldElement, embed
@@ -25,6 +26,7 @@ F5 = make_field(5)
 F7 = make_field(7)
 F8 = make_field(2, 3)
 F9 = make_field(3, 2)
+F11 = make_field(11)
 F16 = make_field(2, 4)
 F25 = make_field(5, 2)
 F49 = make_field(7, 2)
@@ -444,6 +446,36 @@ def affine_orbit_count(S, keys):
     return count
 
 
+def reversed_key(S, key, d):
+    """monic(x^(2d-2) key(1/x)): the key's coefficients padded to 2d - 1,
+    read backwards."""
+    padded = list(key) + [0] * (2 * d - 1 - len(key))
+    return tuple(raw_monic(S, raw_trim(padded[::-1])))
+
+
+def pgl2_orbit_count(S, d, keys):
+    """The orbits of PGL_2(F_q) on a set of monic keys, read as binary
+    forms of degree 2d - 2, by field products: the closure of a key under
+    translation, scaling and reversal."""
+    seen = set()
+    count = 0
+    for key in keys:
+        if key in seen:
+            continue
+        count += 1
+        seen.add(key)
+        todo = [key]
+        while todo:
+            k = todo.pop()
+            near = [reversed_key(S, k, d)] + orbit(S, k, S.order - 1) + \
+                [tuple(translated(S, list(k), b)) for b in range(S.order)]
+            for n in near:
+                if n not in seen:
+                    seen.add(n)
+                    todo.append(n)
+    return count
+
+
 def counting(monkeypatch, name):
     """Replace the census module's `name` by a wrapper that records the
     second argument of each call; returns that list."""
@@ -690,12 +722,14 @@ def test_census_reads_one_length_structure_per_record(spec, d, monkeypatch):
 
 @pytest.mark.parametrize("spec,d", [(F2, 6), (F3, 4), (F5, 3), (F8, 3), (F9, 3)])
 def test_census_makes_one_branch_shape_per_affine_orbit_of_keys(spec, d, monkeypatch):
-    # a key and its translates D(x + b) share the length structure, so the
-    # census makes one branch shape per x -> ax + b orbit of keys
+    # the keys of one PGL_2 orbit have Moebius-moved branch data, so the
+    # census makes one branch shape per PGL_2 orbit of keys, fewer than
+    # its x -> ax + b orbits
     calls = counting(monkeypatch, "_branch_shape")
     res = census_by_disc(spec, d, with_tangent=False, points=False)
     keys = [tuple(r.disc.c) for r in res.records]
-    assert len(calls) == len(set(calls)) == affine_orbit_count(spec, keys)
+    assert len(calls) == len(set(calls)) == pgl2_orbit_count(spec, d, keys)
+    assert len(calls) < affine_orbit_count(spec, keys)
 
 
 # F_9 d = 3 stops at F_{9^3}, the largest tabled extension, to keep root
@@ -706,12 +740,12 @@ def test_census_makes_one_branch_shape_per_affine_orbit_of_keys(spec, d, monkeyp
                                             (F49, 2, 4), (F5, 3, 2), (F7, 3, 4),
                                             (F3, 4, 4), (F5, 3, 1)])
 def test_census_points_match_direct_root_finding(spec, d, max_ext, monkeypatch):
-    # points are found once per x -> ax + b orbit of keys and moved to the
+    # points are found once per PGL_2 orbit of keys and moved to the
     # other keys, which must get the points of their own root finding
     calls = counting(monkeypatch, "_materialize_divisor")
     res = census_by_disc(spec, d, max_ext=max_ext, with_tangent=False, points=True)
     keys = [tuple(r.disc.c) for r in res.records]
-    assert len(calls) == affine_orbit_count(spec, keys)
+    assert len(calls) == pgl2_orbit_count(spec, d, keys)
     for rec in res.records:
         want = _materialize_divisor(spec, rec.disc.c, rec.l_inf, max_ext)
         assert (rec.lengths, rec.split_ok) == want, str(rec.disc)
@@ -744,11 +778,28 @@ def test_census_branch_data_matches_per_key_recomputation(spec, d):
         assert [tuple(r.disc.c) for r in res.records] == [(1,)]
 
 
-@pytest.mark.parametrize("spec,d", [(F5, 3), (F7, 3), (F3, 4)])
+@pytest.mark.parametrize("spec,d", [(F5, 3), (F7, 3), (F3, 4), (F2, 6), (F4, 4), (F11, 3)])
 def test_census_moved_branch_data_matches_per_key_recomputation(spec, d):
-    # censuses where a translate's points are moved by b != 0 and then
-    # by a scaling γ^(e - k) with e != k
+    # censuses where a translate's or a reversal's points are moved by
+    # b != 0 or x -> 1/(x - b) and then by a scaling γ^(e - k) with e != k
     assert_branch_data_per_key(spec, d, with_tangent=False)
+
+
+@pytest.mark.parametrize("spec,d", [(F2, 6), (F3, 4), (F5, 3)])
+def test_reversal_shape_matches_branch_shape(spec, d):
+    # every reversal monic(x^(2d-2) t(1/x)) of every translate t of every
+    # key gets the key's shape with the lengths at 0 and infinity swapped
+    keys = [tuple(r.disc.c) for r in census_by_disc(spec, d, with_tangent=False,
+                                                    points=False).records]
+    for key in keys:
+        finite, l_inf, profile, wild, _ = _branch_shape(spec, key, d)
+        for b in range(spec.order):
+            t = translated(spec, list(key), b)
+            z = next(i for i, c in enumerate(t) if c)
+            rev = reversed_key(spec, t, d)
+            assert rev in keys
+            assert (*_swapped(finite, profile, z, l_inf), z, wild) == \
+                tuple(_branch_shape(spec, rev, d)[i] for i in (0, 2, 1, 3)), (key, b)
 
 
 @pytest.mark.parametrize("spec", [F4, F8, F9, F25, F49])
@@ -779,11 +830,65 @@ def test_moved_divisor_matches_elementwise_move(base, T):
         eb, ea = embed(FieldElement(base, b), T), embed(FieldElement(base, a), T)
         want = Divisor([(pt if pt is INF else (pt - eb) * ea, m) for pt, m in div.items()],
                        spec=T)
-        moved = _moved_divisor(base, div, b, a)
+        moved = _mobius_divisor(base, div, a, base.neg(base.mul(a, b)), 0, 1)
         assert moved == want and moved.items() == want.items()
         assert moved.to_json() == want.to_json()
     only_inf = Divisor([(INF, 4)])
-    assert _moved_divisor(base, only_inf, 1, 1) is only_inf
+    assert _mobius_divisor(base, only_inf, 1, base.neg(1), 0, 1) is only_inf
+
+
+# x -> (a x + b) / (c x + e) with a, b, c, e from the base field, on codes,
+# against FieldElement arithmetic in the tabled F_{3^4} and the untabled
+# F_{7^4}
+@pytest.mark.parametrize("base,T", [(F9, make_field(3, 4)), (F3, make_field(3, 4)),
+                                    (F49, make_field(7, 4)), (F7, make_field(7, 4))])
+def test_mobius_divisor_matches_field_arithmetic(base, T):
+    rng = random.Random(T.order + 3 * base.order)
+
+    def moved(div, m):
+        a, b, c, e = (embed(FieldElement(base, v), T) for v in m)
+        pairs = []
+        for pt, mult in div.items():
+            if pt is INF:
+                pt = a / c if c else INF
+            else:
+                den = c * pt + e
+                pt = (a * pt + b) / den if den else INF
+            pairs.append((pt, mult))
+        return Divisor(pairs, spec=T)
+
+    def check(div, m, spec):
+        got, want = _mobius_divisor(base, div, *m), moved(div, m)
+        assert got == want and got.items() == want.items(), m
+        assert got.to_json() == want.to_json() and got.spec == spec
+
+    r = rng.randrange(1, base.order)                 # a point of the base field
+    er = embed(FieldElement(base, r), T).code
+    codes = [0, er] + rng.sample([c for c in range(1, T.order) if c != er], 5)
+    finite = [(FieldElement(T, c), rng.randrange(1, 4)) for c in codes]
+    with_inf = Divisor(finite + [(INF, 2)])
+    only_finite = Divisor(finite)
+    flip = (0, 1, 1, base.neg(r))                    # x -> 1/(x - r): r -> INF, INF -> 0
+    # x -> 1/x takes 0 to INF and INF to 0
+    matrices = [flip, (0, 1, 1, 0), (1, 0, 0, 1), (r, 0, 0, 1), (1, r, 0, 1)]
+    while len(matrices) < 12:
+        m = tuple(rng.randrange(base.order) for _ in range(4))
+        if base.mul(m[0], m[3]) != base.mul(m[1], m[2]):
+            matrices.append(m)
+    for m in matrices:
+        check(with_inf, m, T)
+        check(only_finite, m, T)
+    assert with_inf.multiplicity(FieldElement(T, er)) == \
+        _mobius_divisor(base, with_inf, *flip).multiplicity(INF)
+    # INF-only: moved onto a point of the base field, or kept by an affine map
+    only_inf = Divisor([(INF, 4)])
+    assert _mobius_divisor(base, only_inf, *flip).items() == [(FieldElement(base, 0), 4)]
+    assert _mobius_divisor(base, only_inf, *flip).spec == base
+    assert _mobius_divisor(base, only_inf, r, 1, 0, 1) is only_inf
+    # a finite-only divisor whose one point goes to INF has no field left
+    lone = Divisor([(FieldElement(T, er), 3)])
+    assert _mobius_divisor(base, lone, *flip).items() == [(INF, 3)]
+    assert _mobius_divisor(base, lone, *flip).spec is None
 
 
 @pytest.mark.parametrize("p,m", [(2, 10), (3, 7)])
