@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import InputError
 from .field import FieldSpec
 from .poly import (Poly, PolyMatrix, polymat_canonical_rows, polymat_kernel,
-                   polymat_rank, raw_T, raw_trim)
+                   polymat_rank, raw_T, raw_T_columns, raw_trim)
 
 
 def apply_T(f: Poly, q: Poly) -> Poly:
@@ -89,12 +89,14 @@ class OperatorMatrix:
 
 
 def _columns(f: Poly):
-    """decompose(T_f(x^j)) for j = 0..p-1, as raw coordinate lists."""
+    """decompose(T_f(x^j)) for j = 0..p-1, as raw coordinate lists: the
+    coordinate i of a column is its stride slice from degree i."""
     if f.is_zero():
         raise InputError("the defining polynomial f must be non-zero")
     S = f.spec
-    return [[list(c.c) for c in decompose(apply_T(f, Poly.monomial(S, j)))]
-            for j in range(S.p)]
+    p = S.p
+    return [[raw_trim(col[i::p]) for i in range(p)]
+            for col in raw_T_columns(S, list(f.c), range(p))]
 
 
 def operator_matrix(f: Poly) -> OperatorMatrix:

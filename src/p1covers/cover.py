@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 from .errors import InputError, SplitBoundExceeded
 from .field import FieldElement, FieldSpec, _split_top, make_field
-from .poly import (Poly, raw_T, raw_add, raw_divrem, raw_embed, raw_eval,
-                   raw_gcd, raw_mobius_substitute, raw_monic, raw_rref,
-                   raw_scale, raw_sqf_list, raw_sqf_roots)
+from .poly import (Poly, raw_T, raw_add, raw_embed, raw_eval, raw_gcd,
+                   raw_mobius_substitute, raw_monic, raw_quo_root, raw_rref,
+                   raw_scale, raw_sqf_list, raw_sqf_roots, raw_sub)
 
 
 class _Infinity:
@@ -330,30 +330,31 @@ class Cover:
         return tuple(sorted(finite + (l_inf,))) if l_inf > 0 else finite
 
     def ram_index(self, point):
-        """(e_P, wild flag): vanishing order at P of g - f(P) h (or of h
-        when f(P) = inf), with P = inf handled by moving it to 0."""
+        """(e_P, wild flag): vanishing order at P of w = g - f(P) h, or of
+        w = h when f(P) = inf. At P = inf it is read off the degrees: it is
+        d - deg h when deg h < d, else d - deg(g - (g_d/h_d) h), the order at
+        0 of x^d w(1/x). At a finite point P, g and h are embedded into P's
+        field and each factor x - P is stripped from w by one synthetic
+        division."""
+        S, d, g, h = self.spec, self.d, self.g.c, self.h.c
         if point is INF:
-            flipped = self.precompose(Mobius.from_codes(self.spec, 0, 1, 1, 0))
-            return flipped.ram_index(self.spec.zero())
+            if len(h) <= d:
+                e = d - (len(h) - 1)
+            else:
+                v = S.div(g[d], h[d]) if len(g) > d else 0
+                e = d - (len(raw_sub(S, g, raw_scale(S, h, v))) - 1)
+            return e, e % S.p == 0
         if not isinstance(point, FieldElement):
             raise InputError(f"bad point {point!r}")
-        cov = self if point.spec == self.spec else self.embed(point.spec)
-        h_val = cov.h.evaluate(point)
-        if h_val:
-            v = cov.g.evaluate(point) / h_val
-            w = cov.g - cov.h * v
-        else:
-            w = cov.h
-        S, e = cov.spec, 0
-        coeffs = list(w.c)
-        lin = [S.neg(point.code), 1]
-        while True:
-            q, r = raw_divrem(S, coeffs, lin)
-            if r:
-                break
-            coeffs = q
+        T, P = point.spec, point.code
+        g, h = raw_embed(S, T, g), raw_embed(S, T, h)
+        h_val = raw_eval(T, h, P)
+        w = raw_sub(T, g, raw_scale(T, h, T.div(raw_eval(T, g, P), h_val))) if h_val else h
+        e = 0
+        while not raw_eval(T, w, P):
+            w = raw_quo_root(T, w, P)
             e += 1
-        return e, (e % self.spec.p == 0)
+        return e, e % S.p == 0
 
     # -- group actions ---------------------------------------------------------
 

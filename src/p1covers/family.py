@@ -159,7 +159,9 @@ def osserman_family(p: int) -> Family:
 def verify_family(fam: Family, ts, max_ext: int = 4) -> dict:
     """Check a sample of specializations: constant discriminant, constant
     length divisor, pairwise inequivalence; tabulate ramification indices
-    (which are allowed to vary)."""
+    (which are allowed to vary). The length divisor is a function of the
+    monic discriminant and the degree, so it is found once per distinct
+    pair and shared by the fibers that have it."""
     ts = list(ts)
     if not ts:
         raise InputError("no sample parameters given")
@@ -173,7 +175,12 @@ def verify_family(fam: Family, ts, max_ext: int = 4) -> dict:
     covers = [fam.specialize(t) for t in ts_K]
     discs = [cov.discriminant() for cov in covers]
     disc_constant = all(d == discs[0] for d in discs)
-    divisors = [cov.differential_lengths(max_ext) for cov in covers]
+    lengths, divisors = {}, []
+    for cov, disc in zip(covers, discs):
+        key = (disc, cov.d)
+        if key not in lengths:
+            lengths[key] = cov.differential_lengths(max_ext)
+        divisors.append(lengths[key])
     specs = {div.spec for div in divisors if div.spec is not None}
     if len(specs) > 1:
         join = 1

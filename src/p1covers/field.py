@@ -51,7 +51,8 @@ Text is written by `FieldSpec.element_str`, which every printed element,
 polynomial coefficient and divisor point goes through. A field of at
 most `TABLE_LIMIT` elements reads it from a list of every code's text,
 built on the first call, so making a field costs no formatting; a larger
-field formats each code when asked and keeps nothing.
+field formats each code on its first print and keeps that text, so its
+memo grows only with the distinct codes printed.
 
 This module only knows field elements: every polynomial step it needs
 runs on `poly`'s raw layer. Field construction is deterministic:
@@ -229,6 +230,21 @@ class _ComputedPair:
     def __getitem__(self, i):
         a, b = divmod(i, self.q)
         return self.op(a, b)
+
+
+class _TextMemo(dict):
+    """element_str's table for a field too large to list every code's
+    text: a missing code's text is formatted once and kept."""
+
+    __slots__ = ("fmt",)
+
+    def __init__(self, fmt):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, code):
+        text = self[code] = self.fmt(code)
+        return text
 
 
 class FieldSpec:
@@ -485,12 +501,12 @@ class FieldSpec:
     def element_str(self, code: int) -> str:
         """The text of code, as the term reader reads it back. A field of at
         most TABLE_LIMIT elements reads it from a list of every code's
-        text, built on the first call; a larger one formats each call."""
+        text, built on the first call; a larger one from a memo that
+        formats each code on its first print and keeps it."""
         strs = self._strs
         if strs is None:
-            if self.order > TABLE_LIMIT:
-                return self._format(code)
-            strs = self._strs = [self._format(c) for c in range(self.order)]
+            strs = self._strs = (_TextMemo(self._format) if self.order > TABLE_LIMIT
+                                 else [self._format(c) for c in range(self.order)])
         return strs[code]
 
     def _format(self, code: int) -> str:

@@ -220,3 +220,29 @@ def test_pfold_iterate_collapses_onto_T():
     T3 = lambda q: apply_T(Poly.x(F3), q)
     x = Poly.x(F3)
     assert T3(T3(T3(x * x))) != x * T3(T3(T3(x)))
+
+
+def reference_columns(f):
+    S = f.spec
+    return [[list(c.c) for c in decompose(apply_T(f, Poly.monomial(S, j)))]
+            for j in range(S.p)]
+
+
+def test_columns_match_decomposed_images():
+    from p1covers.cartier import _columns
+    for spec in (F2, F3, F4, F5):
+        for f in nonzero_polys(spec, 3):
+            assert _columns(f) == reference_columns(f)
+    rng = random.Random(25)
+    for spec in (make_field(7), make_field(3, 2), make_field(5, 2)):
+        for _ in range(40):
+            f = rand_poly(spec, rng.randrange(7), rng)
+            assert _columns(f) == reference_columns(f)
+        # T_x(x) = 0, and T_c(x^j) = -j c x^(j-1) leaves one coordinate
+        x = Poly.x(spec)
+        assert _columns(x)[1] == [[]] * spec.p
+        c = _columns(Poly.constant(spec, 2))
+        assert c[0] == [[]] * spec.p
+        assert all(sum(map(bool, col)) == 1 for col in c[1:])
+    with pytest.raises(InputError):
+        _columns(Poly.zero(F3))

@@ -117,6 +117,81 @@ def test_tame_wild_length_consistency():
                 assert l == e - 1
 
 
+def reference_ram_index(cov, point):
+    """The ramification index as it was first computed: infinity moved to 0
+    by x -> 1/x, the cover embedded into the point's field, and x - P
+    divided out by long division until a remainder is left."""
+    from p1covers.poly import raw_divrem
+    if point is INF:
+        flipped = cov.precompose(Mobius.from_codes(cov.spec, 0, 1, 1, 0))
+        return reference_ram_index(flipped, cov.spec.zero())
+    c = cov if point.spec == cov.spec else cov.embed(point.spec)
+    h_val = c.h.evaluate(point)
+    w = c.g - c.h * (c.g.evaluate(point) / h_val) if h_val else c.h
+    S, e, coeffs = c.spec, 0, list(w.c)
+    while True:
+        q, r = raw_divrem(S, coeffs, [S.neg(point.code), 1])
+        if r:
+            return e, e % cov.spec.p == 0
+        coeffs, e = q, e + 1
+
+
+def shaped_cover(spec, rng, d, shape):
+    """A random cover of degree d with deg h = d ("h"), deg h < d ("g")
+    or deg g < d = deg h ("h only")."""
+    while True:
+        dg = d if shape != "h only" else rng.randrange(d)
+        dh = d if shape != "g" else rng.randrange(d)
+        g = Poly(spec, [rng.randrange(spec.order) for _ in range(dg)] + [rng.randrange(1, spec.order)])
+        h = Poly(spec, [rng.randrange(spec.order) for _ in range(dh)] + [rng.randrange(1, spec.order)])
+        try:
+            return Cover(g, h)
+        except InputError:
+            continue
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_ram_index_matches_reference(p, m):
+    S = make_field(p, m)
+    rng = random.Random(100 * p + m)
+    checked = {"inf": 0, "branch": 0, "extension": 0, "unramified": 0}
+    for d in range(1, 6):
+        for shape in ("h", "g", "h only"):
+            for _ in range(3):
+                cov = shaped_cover(S, rng, d, shape)
+                assert cov.d == d
+                assert cov.ram_index(INF) == reference_ram_index(cov, INF)
+                checked["inf"] += 1
+                try:
+                    support = cov.differential_lengths(4).support()
+                except SplitBoundExceeded:
+                    support = []
+                for pt in support:
+                    if pt is INF:
+                        continue
+                    assert cov.ram_index(pt) == reference_ram_index(cov, pt)
+                    checked["branch"] += 1
+                    checked["extension"] += pt.spec != S
+                disc = cov.discriminant()
+                calm = [e for e in elements(S) if disc.evaluate(e)]
+                for pt in rng.sample(calm, min(3, len(calm))):
+                    assert cov.ram_index(pt) == reference_ram_index(cov, pt) == (1, False)
+                    checked["unramified"] += 1
+    assert all(checked.values()), checked
+
+
+def test_ram_index_bad_points():
+    cov = Cover.parse("x^3 + x / x + 1", F9)
+    for bad in ("0", 0, None):
+        with pytest.raises(InputError):
+            cov.ram_index(bad)
+    for alien in (F3.element(1), make_field(3, 3).element(4), F2.element(1)):
+        with pytest.raises(InputError):
+            reference_ram_index(cov, alien)
+        with pytest.raises(InputError):
+            cov.ram_index(alien)
+
+
 def test_postcompose_examples():
     cov = Cover.parse("x^2", F3)
     shifted = cov.postcompose(Mobius.from_codes(F3, 1, 1, 0, 1))

@@ -1,11 +1,14 @@
 """Wild families, the two named families, verification, chart directions."""
 
+import math
+import random
+
 import pytest
 
-from p1covers import (Cover, InputError, Poly, chart_direction, elements,
-                      embed, enumerate_covers, make_field, osserman_family,
-                      power_family, tangent_dim, verify_family, wild_family,
-                      Family)
+from p1covers import (Cover, FieldElement, InputError, Poly, SplitBoundExceeded,
+                      chart_direction, elements, embed, enumerate_covers, make_field,
+                      osserman_family, power_family, tangent_dim, verify_family,
+                      wild_family, Family)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -107,6 +110,127 @@ def test_verify_family_detects_constant_family():
     report = verify_family(fam, elements(F3))
     assert report["pairwise_inequivalent"] is False
     assert report["disc_constant"] is True
+
+
+def reference_verify_family(fam, ts, max_ext=4):
+    """verify_family as it was first written: every fiber's length divisor
+    is found from scratch."""
+    deg = 1
+    for t in ts:
+        deg = math.lcm(deg, t.spec.m)
+    K = make_field(fam.spec.p, deg)
+    ts_K = [FieldElement(K, K.embed_code(t.code, t.spec)) for t in ts]
+    covers = [fam.specialize(t) for t in ts_K]
+    discs = [cov.discriminant() for cov in covers]
+    divisors = [cov.differential_lengths(max_ext) for cov in covers]
+    specs = {div.spec for div in divisors if div.spec is not None}
+    if len(specs) > 1:
+        J = make_field(fam.spec.p, math.lcm(*(sp.m for sp in specs)))
+        divisors = [div.embed(J) for div in divisors]
+    support = divisors[0].support()
+    ram_indices = {}
+    for t, cov in zip(ts_K, covers):
+        ram_indices[str(t)] = {str(pt): dict(zip(("e", "wild"), cov.ram_index(pt)))
+                               for pt in support}
+    return {
+        "description": fam.description,
+        "samples": [str(t) for t in ts_K],
+        "disc": str(discs[0]),
+        "disc_constant": all(d == discs[0] for d in discs),
+        "length_divisor": divisors[0].to_json(),
+        "length_divisor_constant": all(div == divisors[0] for div in divisors),
+        "ram_indices": ram_indices,
+        "pairwise_inequivalent": len({cov.plane() for cov in covers}) == len(covers),
+    }
+
+
+def sample_parameters(fam, rng, n=5):
+    """n parameters from the least extension of the family's field with
+    more than n elements, the degenerate one left out."""
+    K = fam.spec
+    while K.order <= n:
+        K = make_field(K.p, 2 * K.m)
+    bad = fam.degenerate_parameter()
+    ts = [t for t in elements(K) if bad is None or t != embed(bad, K)]
+    return sorted(rng.sample(ts, n))
+
+
+def random_wild_families(S, rng, count):
+    out = []
+    while len(out) < count:
+        d = rng.randrange(3, 6)
+        g = Poly(S, [rng.randrange(S.order) for _ in range(d)] + [1])
+        h = Poly(S, [rng.randrange(S.order) for _ in range(rng.randrange(d))] + [1])
+        try:
+            out.append(wild_family(Cover(g, h), 4))
+        except (InputError, SplitBoundExceeded):
+            continue
+    return out
+
+
+def counted_lengths(monkeypatch):
+    calls = []
+    lengths = Cover.differential_lengths
+
+    def counted(self, max_ext=4):
+        calls.append(self.discriminant())
+        return lengths(self, max_ext)
+
+    monkeypatch.setattr(Cover, "differential_lengths", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (2, 2), (2, 3), (3, 2)])
+def test_verify_family_wild_matches_per_fiber_reference(p, m):
+    S = make_field(p, m)
+    rng = random.Random(10 * p + m)
+    for fam in random_wild_families(S, rng, 4):
+        ts = sample_parameters(fam, rng)
+        report = verify_family(fam, ts)
+        assert report == reference_verify_family(fam, ts)
+        assert report["disc_constant"] and report["length_divisor_constant"]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_verify_family_named_match_per_fiber_reference(p):
+    rng = random.Random(p)
+    for fam in (power_family(p), osserman_family(p)):
+        for ts in (elements(fam.spec), sample_parameters(fam, rng),
+                   [embed(t, make_field(p, 2)) for t in sample_parameters(fam, rng, 3)]
+                   + [make_field(p, 2).element(p + 1)]):
+            report = verify_family(fam, ts)
+            assert report == reference_verify_family(fam, ts)
+
+
+def test_verify_family_finds_lengths_once_per_discriminant(monkeypatch):
+    rng = random.Random(11)
+    families = [wild_family(Cover.parse("x^4 / x^3+x+1", F3)),
+                wild_family(Cover.parse("x^5 + x", F3))]
+    families += random_wild_families(make_field(2, 3), rng, 2)
+    families += [power_family(p) for p in (3, 5, 7)] + [osserman_family(p) for p in (5, 7)]
+    calls = counted_lengths(monkeypatch)
+    for fam in families:
+        ts = sample_parameters(fam, rng)
+        assert len(ts) == 5
+        del calls[:]
+        report = verify_family(fam, ts)
+        assert report["disc_constant"] and len(calls) == 1
+
+
+def test_verify_family_moving_discriminant(monkeypatch):
+    # f_t = x^2 + t*x: h g' - g h' = 2x + t, so every fiber has its own
+    # discriminant and its own length divisor
+    for S in (F3, F5):
+        fam = Family("x^2 + t*x", Poly.parse("x^2", S), Poly.one(S), Poly.x(S), S, 2)
+        ts = elements(S)
+        expected = reference_verify_family(fam, ts)
+        calls = counted_lengths(monkeypatch)
+        report = verify_family(fam, ts)
+        assert report == expected
+        assert report["disc_constant"] is False
+        assert report["length_divisor_constant"] is False
+        assert len(calls) == len(set(calls)) == S.order
+        monkeypatch.undo()
 
 
 def test_chart_direction_example():

@@ -321,10 +321,36 @@ def test_element_str_table_every_code(p, m):
 def test_element_str_untabled_sampled(p, m):
     spec = make_field(p, m)
     q = spec.order
-    for c in [0, 1, p - 1, p, q - 1, *random.Random(q).sample(range(q), 500)]:
+    codes = [0, 1, p - 1, p, q - 1, *random.Random(q).sample(range(q), 500)]
+    for c in codes:
         assert spec.element_str(c) == element_text(spec, c)
         assert str(FieldElement(spec, c)) == element_text(spec, c)
-    assert spec._strs is None  # above the limit no string table is kept
+    # above the limit no list of every code is made; each printed code's
+    # text is kept in a memo (dict.get does not fill it)
+    assert not isinstance(spec._strs, list)
+    assert all(spec._strs.get(c) == element_text(spec, c) for c in codes)
+
+
+@pytest.mark.parametrize("p,m", [(3, 7), (7, 4), (2, 10)])
+def test_element_str_untabled_formats_each_code_once(p, m, monkeypatch):
+    calls = []
+    fmt = field.FieldSpec._format
+
+    def counted(self, code):
+        calls.append(code)
+        return fmt(self, code)
+
+    monkeypatch.setattr(field.FieldSpec, "_format", counted)
+    spec = field.FieldSpec(p, m, make_field(p, m).modulus)  # a fresh, unprinted field
+    assert spec.order > TABLE_LIMIT
+    rng = random.Random(p * 100 + m)
+    codes = [rng.randrange(spec.order) for _ in range(400)] + [0, 1, spec.order - 1]
+    codes += codes[:50]   # printed again
+    for c in codes:
+        assert spec.element_str(c) == fmt(spec, c) == element_text(spec, c)
+        assert str(FieldElement(spec, c)) == element_text(spec, c)
+    assert sorted(calls) == sorted(set(codes))        # once per distinct code
+    assert set(spec._strs) == set(codes)              # and nothing else is kept
 
 
 def test_element_str_table_is_lazy():
