@@ -65,8 +65,10 @@ lengths at 0 and infinity: its l_inf is the multiplicity z of the root
 F's points c, with b -> INF and INF -> 0. A key's link names the first
 key f of its x -> ax orbit and the e with key = monic(f(γ^e x)), so the
 memo gives f the moved data and e, and a key monic(f(γ^k x)) has the
-points times γ^(e - k). The class total is checked against its closed
-form, from which Burnside gives the Frobenius orbit count.
+points times γ^(e - k). Every such move of points is cover's code-level
+Moebius action on a divisor, Divisor.moved. The class total is checked
+against its closed form, from which Burnside gives the Frobenius orbit
+count.
 """
 
 from __future__ import annotations
@@ -532,7 +534,8 @@ def _length_structure(S, table, key, d, memo, points, max_ext):
     f of R, read off R's link in table, is not in memo yet, R's affine
     orbit is new, and R's data fill it the same way. R has the key's
     wildness and split_ok; it swaps the key's lengths at 0 and infinity
-    (_swapped), and its points are the key's moved by x -> 1/(x - b).
+    (_swapped), and its points are the key's moved by x -> 1/(x - b)
+    (Divisor.moved).
 
     Memo entries come in whole PGL_2 orbits, so a first key found in memo
     means its affine orbit is filled. Of the keys of the orbit only the
@@ -553,7 +556,7 @@ def _length_structure(S, table, key, d, memo, points, max_ext):
             f, e = rec[2] or (rev, 0)
             if f not in memo:
                 fin, prof = _swapped(finite, profile, z, l_inf)
-                moved = None if div is None else _mobius_divisor(S, div, 0, 1, 1, S.neg(b))
+                moved = None if div is None else div.moved(S, 0, 1, 1, S.neg(b))
                 _fill_translates(S, table, memo, rev, f, (fin, z, prof, wild, moved, ok, e))
     return out
 
@@ -576,7 +579,7 @@ def _fill_translates(S, table, memo, key, first, entry):
         f, e = rec[2] or (tuple(t), 0)
         if f not in memo:
             memo[f] = entry if div is None else (
-                *entry[:4], _mobius_divisor(S, div, 1, S.neg(b), 0, 1), entry[5], e)
+                *entry[:4], div.moved(S, 1, S.neg(b), 0, 1), entry[5], e)
     return out
 
 
@@ -663,7 +666,7 @@ def census_by_disc(spec: FieldSpec, d: int, max_ext: int = 4,
         finite, l_inf, profile, wild, lengths, split_ok, e = _length_structure(
             spec, table, first, d, memo, points, max_ext)
         if lengths is not None and e != k:
-            lengths = _mobius_divisor(spec, lengths, exp[e - k], 0, 0, 1)
+            lengths = lengths.moved(spec, exp[e - k], 0, 0, 1)
         records.append(CensusRecord(
             disc=Poly._raw(spec, key), lengths=lengths,
             finite_lengths=finite, l_inf=l_inf, class_count=count,
@@ -685,42 +688,6 @@ def _materialize_divisor(S, disc_key, l_inf, max_ext, sqf=None):
     div, _ = _branch_divisor(S, raw_sqf_list(S, list(disc_key)) if sqf is None else sqf,
                              l_inf, max_ext)
     return div, div is not None
-
-
-def _mobius_divisor(S, div, a, b, c, e):
-    """div with each point x moved to (a x + b) / (c x + e), for codes a,
-    b, c, e of S with a e != b c, embedded into the points' field: a point
-    with c x + e = 0 goes to INF, and INF to a / c, or stays when c = 0.
-    A Moebius map is a bijection, so the moved codes stay distinct and the
-    dict is built here, code by code, for Divisor._raw: without finite
-    points it has spec None, and INF moved onto a point of S gets S."""
-    T, pts = div.spec, div._points
-    if T is None:
-        if not c or not pts:
-            return div
-        return Divisor._raw(S, {S.div(a, c): pts[INF]})
-    a, b, c, e = [v if v < 2 else T.embed_code(v, S) for v in (a, b, c, e)]
-    at, mt, it, q = T._add_t, T._mul_t, T._inv_t, T.order
-    moved = {}
-    if not c:                           # affine: x -> x a/e + b/e
-        if e != 1:
-            a, b = mt[a * q + it[e]], mt[b * q + it[e]]
-        for x, m in pts.items():
-            if x is not INF:
-                if a != 1:
-                    x = mt[x * q + a]
-                if b:
-                    x = at[x * q + b]
-            moved[x] = m
-        return Divisor._raw(T, moved)
-    for x, m in pts.items():
-        if x is INF:
-            x = mt[a * q + it[c]]
-        else:
-            den = at[mt[c * q + x] * q + e]
-            x = mt[at[mt[a * q + x] * q + b] * q + it[den]] if den else INF
-        moved[x] = m
-    return Divisor._raw(T if any(x is not INF for x in moved) else None, moved)
 
 
 def _count_galois_orbits(spec, d):

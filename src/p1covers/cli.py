@@ -110,8 +110,11 @@ def build_parser():
 def _write(args, pieces):
     """Write the text pieces to --out, or else to stdout."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.writelines(pieces)
+        try:
+            with open(args.out, "w") as fh:
+                fh.writelines(pieces)
+        except OSError as exc:
+            raise InputError(f"cannot write --out {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.writelines(pieces)
 

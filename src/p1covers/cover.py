@@ -90,26 +90,19 @@ class Mobius:
 
     def compose(self, other: "Mobius") -> "Mobius":
         """self after other (matrix product self * other)."""
-        return Mobius(self.a * other.a + self.b * other.c,
-                      self.a * other.b + self.b * other.d,
-                      self.c * other.a + self.d * other.c,
-                      self.c * other.b + self.d * other.d)
+        if other.spec != self.spec:
+            raise InputError("Moebius transformations over different fields")
+        return Mobius.from_codes(self.spec, *_m2_mul(self.spec, self.codes(), other.codes()))
 
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
 
     def apply(self, point):
         """Image of a point of P^1 (FieldElement or INF)."""
-        if point is INF:
-            if not self.c:
-                return INF
-            return self.a / self.c
-        if point.spec != self.spec:
+        if point is not INF and point.spec != self.spec:
             raise InputError("point and Moebius transformation over different fields")
-        den = self.c * point + self.d
-        if not den:
-            return INF
-        return (self.a * point + self.b) / den
+        x = _mobius_point(self.spec, *self.codes(), point if point is INF else point.code)
+        return x if x is INF else FieldElement(self.spec, x)
 
     def is_identity(self) -> bool:
         return (self.b.code == 0 and self.c.code == 0
@@ -135,6 +128,15 @@ class Mobius:
 
     def __str__(self):
         return self.to_str()
+
+
+def _mobius_point(T, a, b, c, e, x):
+    """(a x + b) / (c x + e) for codes of T, or INF where c x + e = 0; INF
+    goes to a / c, or stays when c = 0."""
+    if x is INF:
+        return T.div(a, c) if c else INF
+    den = T.add(T.mul(c, x), e)
+    return T.div(T.add(T.mul(a, x), b), den) if den else INF
 
 
 def _linear_str(a: FieldElement, b: FieldElement, var: str) -> str:
@@ -182,9 +184,9 @@ class Divisor:
     def _raw(cls, spec, points) -> "Divisor":
         """Trusted construction, like Poly._raw: points is a dict {code or
         INF: multiplicity} that the library has built from checked data,
-        with codes of spec (None when there are no finite points) and
-        positive int multiplicities; it is kept, not copied. Only library
-        code that made the dict itself may call this."""
+        with codes of spec (which may be None when there are no finite
+        points) and positive int multiplicities; it is kept, not copied.
+        Only library code that made the dict itself may call this."""
         div = object.__new__(cls)
         div.spec = spec
         div._points = points
@@ -215,23 +217,43 @@ class Divisor:
         return [pt for pt, _ in self.items()]
 
     def embed(self, target: FieldSpec) -> "Divisor":
-        pairs = []
-        for pt, m in self.items():
-            if pt is INF:
-                pairs.append((INF, m))
-            else:
-                pairs.append((FieldElement(target, target.embed_code(pt.code, pt.spec)), m))
-        return Divisor(pairs, spec=target)
+        T = self.spec
+        return Divisor._raw(target, {x if x is INF else target.embed_code(x, T): m
+                                     for x, m in self._points.items()})
 
     def transport(self, m: Mobius) -> "Divisor":
         """Move every point by the transformation; multiplicities ride along."""
-        spec = m.spec
-        pairs = []
-        for pt, mult in self.items():
-            if pt is not INF and pt.spec != spec:
-                raise InputError("transport needs the divisor and Moebius over one field")
-            pairs.append((m.apply(pt), mult))
-        return Divisor(pairs, spec=spec)
+        if self.spec != m.spec and any(x is not INF for x in self._points):
+            raise InputError("transport needs the divisor and Moebius over one field")
+        return self.moved(m.spec, *m.codes())
+
+    def moved(self, S, a, b, c, e) -> "Divisor":
+        """The divisor with each point x moved to (a x + b) / (c x + e), for
+        codes a, b, c, e of S with a e != b c, embedded into the points'
+        field (_mobius_point). A Moebius map is a bijection, so the moved
+        codes stay distinct. A result without finite points has spec None;
+        from a divisor without finite points, INF moved onto a point gets S."""
+        T, pts = self.spec, self._points
+        if T is None or len(pts) == 1 and INF in pts:
+            if not c or not pts:
+                return self
+            return Divisor._raw(S, {S.div(a, c): pts[INF]})
+        a, b, c, e = [v if v < 2 else T.embed_code(v, S) for v in (a, b, c, e)]
+        if c:
+            moved = {_mobius_point(T, a, b, c, e, x): m for x, m in pts.items()}
+            return Divisor._raw(T if any(x is not INF for x in moved) else None, moved)
+        if e != 1:                          # affine: x -> x a/e + b/e
+            a, b = T.div(a, e), T.div(b, e)
+        at, mt, q = T._add_t, T._mul_t, T.order
+        moved = {}
+        for x, m in pts.items():
+            if x is not INF:
+                if a != 1:
+                    x = mt[x * q + a]
+                if b:
+                    x = at[x * q + b]
+            moved[x] = m
+        return Divisor._raw(T, moved)
 
     def _rendered(self):
         """(point text, multiplicity) pairs in items() order, from the codes."""
@@ -250,12 +272,8 @@ class Divisor:
     def __eq__(self, other):
         if not isinstance(other, Divisor):
             return NotImplemented
-        if self._points.keys() != other._points.keys():
-            return False
-        if any(self._points[k] != other._points[k] for k in self._points):
-            return False
-        finite = [k for k in self._points if k is not INF]
-        return not finite or self.spec == other.spec
+        return self._points == other._points and (
+            self.spec == other.spec or all(k is INF for k in self._points))
 
     def __hash__(self):
         # __eq__ ignores the field of a divisor without finite points
@@ -362,7 +380,9 @@ class Cover:
         """Target change: (g, h) -> (a g + b h, c g + d h)."""
         if m.spec != self.spec:
             raise InputError("Moebius transformation over a different field")
-        return Cover(self.g * m.a + self.h * m.b, self.g * m.c + self.h * m.d)
+        S = self.spec
+        g, h = _raw_postcompose(S, m.codes(), self.g.c, self.h.c)
+        return Cover(Poly._raw(S, g), Poly._raw(S, h))
 
     def precompose(self, m: Mobius) -> "Cover":
         """Source change: substitute x -> (ax+b)/(cx+d), cleared by (cx+d)^d."""

@@ -196,12 +196,8 @@ def brute_force_tangent(nc: NormalizedCover, variant: str = "xd",
                         "a counted tangent solution fails the defining identity")
                 count += 1
     dim = 0
-    c = count
-    while c > 1:
-        c, r = divmod(c, q)
+    while q ** dim < count:
         dim += 1
-        if r:
-            raise ArithmeticError(f"solution count {count} is not a power of q={q}")
     if q ** dim != count:
         raise ArithmeticError(f"solution count {count} is not a power of q={q}")
     return dim

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cover import INF, Cover, _branch_divisor, _branch_shape
+from .cover import INF, Cover, _branch_divisor, _branch_shape, _raw_postcompose
 from .deform import DeformationVector
 from .errors import InputError, SplitBoundExceeded
 from .field import FieldElement, FieldSpec, make_field
@@ -71,14 +71,12 @@ class Family:
 
 
 def _fix_infinity(S, g, h, d):
-    """Post-compose so that the map fixes infinity; returns (g, h)."""
-    dg, dh = len(g) - 1, len(h) - 1
-    if dg == d and dh < d:
+    """Post-compose so that the map fixes infinity; returns (g, h). When
+    deg h = d that is (h, g - v h), v = g_d / h_d (a swap when deg g < d)."""
+    if len(h) <= d:
         return g, h
-    if dh == d and dg < d:
-        return h, g
-    v = S.mul(g[-1], S.inv(h[-1]))
-    return h, raw_sub(S, g, raw_scale(S, h, v))
+    v = S.div(g[d], h[d]) if len(g) > d else 0
+    return _raw_postcompose(S, (0, 1, 1, S.neg(v)), g, h)
 
 
 def wild_family(c: Cover, max_ext: int = 4) -> Family:
@@ -107,16 +105,10 @@ def wild_family(c: Cover, max_ext: int = 4) -> Family:
                 f"wild locus does not split within extension degree {max_ext}",
                 residual=Poly._raw(c.spec, residual))
         point = div.support()[0]  # least root in the fixed element order
-    if point is INF:
-        cov = c
-        S = cov.spec
-        g, h = list(cov.g.c), list(cov.h.c)
-    else:
-        cov = c if point.spec == c.spec else c.embed(point.spec)
-        S = cov.spec
-        Q = point.code
-        g = raw_mobius_substitute(S, list(cov.g.c), c.d, Q, 1, 1, 0)
-        h = raw_mobius_substitute(S, list(cov.h.c), c.d, Q, 1, 1, 0)
+    S = c.spec if point is INF else point.spec
+    g, h = (raw_embed(c.spec, S, P.c) for P in (c.g, c.h))
+    if point is not INF:
+        g, h = (raw_mobius_substitute(S, P, c.d, point.code, 1, 1, 0) for P in (g, h))
     g, h = _fix_infinity(S, g, h, c.d)
     d = c.d
     if len(g) - 1 != d:

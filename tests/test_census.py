@@ -10,7 +10,7 @@ from p1covers import (INF, BudgetExceeded, Cover, Divisor, InputError, Mobius, P
                       SplitBoundExceeded, census_by_disc, enumerate_covers, make_field,
                       raw_plane_count, verify_theorem_char23, wild_family)
 from p1covers.census import (CensusRecord, _admissible, _chart_block, _class_total, _images,
-                             _materialize_divisor, _merge_tables, _mobius_divisor,
+                             _materialize_divisor, _merge_tables,
                              _monic_images, _scaling, _scan_chunk, _swapped,
                              _tangent_dim_raw)
 from p1covers.cover import _branch_shape
@@ -830,11 +830,11 @@ def test_moved_divisor_matches_elementwise_move(base, T):
         eb, ea = embed(FieldElement(base, b), T), embed(FieldElement(base, a), T)
         want = Divisor([(pt if pt is INF else (pt - eb) * ea, m) for pt, m in div.items()],
                        spec=T)
-        moved = _mobius_divisor(base, div, a, base.neg(base.mul(a, b)), 0, 1)
+        moved = div.moved(base, a, base.neg(base.mul(a, b)), 0, 1)
         assert moved == want and moved.items() == want.items()
         assert moved.to_json() == want.to_json()
     only_inf = Divisor([(INF, 4)])
-    assert _mobius_divisor(base, only_inf, 1, base.neg(1), 0, 1) is only_inf
+    assert only_inf.moved(base, 1, base.neg(1), 0, 1) is only_inf
 
 
 # x -> (a x + b) / (c x + e) with a, b, c, e from the base field, on codes,
@@ -858,7 +858,7 @@ def test_mobius_divisor_matches_field_arithmetic(base, T):
         return Divisor(pairs, spec=T)
 
     def check(div, m, spec):
-        got, want = _mobius_divisor(base, div, *m), moved(div, m)
+        got, want = div.moved(base, *m), moved(div, m)
         assert got == want and got.items() == want.items(), m
         assert got.to_json() == want.to_json() and got.spec == spec
 
@@ -879,16 +879,16 @@ def test_mobius_divisor_matches_field_arithmetic(base, T):
         check(with_inf, m, T)
         check(only_finite, m, T)
     assert with_inf.multiplicity(FieldElement(T, er)) == \
-        _mobius_divisor(base, with_inf, *flip).multiplicity(INF)
+        with_inf.moved(base, *flip).multiplicity(INF)
     # INF-only: moved onto a point of the base field, or kept by an affine map
     only_inf = Divisor([(INF, 4)])
-    assert _mobius_divisor(base, only_inf, *flip).items() == [(FieldElement(base, 0), 4)]
-    assert _mobius_divisor(base, only_inf, *flip).spec == base
-    assert _mobius_divisor(base, only_inf, r, 1, 0, 1) is only_inf
+    assert only_inf.moved(base, *flip).items() == [(FieldElement(base, 0), 4)]
+    assert only_inf.moved(base, *flip).spec == base
+    assert only_inf.moved(base, r, 1, 0, 1) is only_inf
     # a finite-only divisor whose one point goes to INF has no field left
     lone = Divisor([(FieldElement(T, er), 3)])
-    assert _mobius_divisor(base, lone, *flip).items() == [(INF, 3)]
-    assert _mobius_divisor(base, lone, *flip).spec is None
+    assert lone.moved(base, *flip).items() == [(INF, 3)]
+    assert lone.moved(base, *flip).spec is None
 
 
 @pytest.mark.parametrize("p,m", [(2, 10), (3, 7)])

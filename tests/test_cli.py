@@ -1,6 +1,7 @@
 """CLI: output contracts, JSON round trips, exit codes."""
 
 import json
+import os
 import time
 
 import pytest
@@ -292,3 +293,21 @@ def test_argparse_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["disc", "x", "--p"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [("disc", "x^5+x", "--p", "3"),
+                                  ("census", "--p", "2", "--d", "3", "--json")])
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_is_an_input_error(capsys, tmp_path, argv, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    code, printed, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2 and printed == ""
+    assert err.startswith("error: cannot write --out ") and str(out) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_failed_out_write_is_an_input_error(capsys):
+    code, printed, err = run(capsys, "disc", "x^5+x", "--p", "3", "--out", "/dev/full")
+    assert code == 2 and printed == ""
+    assert err.startswith("error: cannot write --out /dev/full: ")

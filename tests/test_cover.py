@@ -427,3 +427,143 @@ def test_cover_parse_round_trip():
         assert Cover.parse(str(cov), F3) == cov
     with pytest.raises(InputError):
         Cover.parse("x / x / x", F3)
+
+
+# The element-wise forms of the Moebius actions, in FieldElement and Poly
+# arithmetic: oracles for Divisor.transport, Divisor.embed, Mobius.apply,
+# Mobius.compose and Cover.postcompose, which run on codes.
+
+def _apply_by_elements(m, pt):
+    if pt is INF:
+        return m.a / m.c if m.c else INF
+    den = m.c * pt + m.d
+    return (m.a * pt + m.b) / den if den else INF
+
+
+def _transport_by_elements(div, m):
+    pairs = []
+    for pt, mult in div.items():
+        if pt is not INF and pt.spec != m.spec:
+            raise InputError("transport needs the divisor and Moebius over one field")
+        pairs.append((_apply_by_elements(m, pt), mult))
+    return Divisor(pairs, spec=m.spec)
+
+
+def _embed_by_elements(div, target):
+    pairs = []
+    for pt, m in div.items():
+        if pt is INF:
+            pairs.append((INF, m))
+        else:
+            pairs.append((FieldElement(target, target.embed_code(pt.code, pt.spec)), m))
+    return Divisor(pairs, spec=target)
+
+
+def _compose_by_elements(m1, m2):
+    return Mobius(m1.a * m2.a + m1.b * m2.c, m1.a * m2.b + m1.b * m2.d,
+                  m1.c * m2.a + m1.d * m2.c, m1.c * m2.b + m1.d * m2.d)
+
+
+def _same_divisor(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert got.items() == want.items() and got.to_json() == want.to_json()
+    assert str(got) == str(want) and got.mass() == want.mass()
+    if any(pt is not INF for pt in got.support()):
+        assert got.spec == want.spec
+
+
+def _random_mobius(spec, rng):
+    while True:
+        a, b, c, d = (rng.randrange(spec.order) for _ in range(4))
+        if spec.sub(spec.mul(a, d), spec.mul(b, c)):
+            return Mobius.from_codes(spec, a, b, c, d)
+
+
+# the tabled F_3, F_9, F_81 and the untabled F_2401
+ACTION_FIELDS = [(3, 1), (3, 2), (3, 4), (7, 4)]
+
+
+@pytest.mark.parametrize("p,m", ACTION_FIELDS)
+def test_divisor_transport_matches_elementwise(p, m):
+    S = make_field(p, m)
+    rng = random.Random(S.order)
+    codes = range(S.order) if S.order <= 81 else rng.sample(range(S.order), 60)
+    everything = Divisor([(FieldElement(S, c), rng.randrange(1, 5)) for c in codes]
+                         + [(INF, 2)])
+    only_inf = Divisor([(INF, 3)])
+    r = rng.randrange(S.order)
+    lone = Divisor([(FieldElement(S, r), 4)])
+    maps = [Mobius.identity(S),
+            Mobius.from_codes(S, 0, 1, 1, S.neg(r)),           # r -> INF, INF -> 0
+            Mobius.from_codes(S, 1, r, 0, 1),                  # affine, INF stays
+            Mobius.from_codes(S, S.order - 1, 1, 0, S.order - 1)]
+    maps += [_random_mobius(S, rng) for _ in range(8)]
+    for mob in maps:
+        for div in (everything, only_inf, lone):
+            _same_divisor(div.transport(mob), _transport_by_elements(div, mob))
+    # a point sent to INF, and INF sent to a point
+    assert lone.transport(maps[1]).items() == [(INF, 4)]
+    assert only_inf.transport(maps[1]).items() == [(FieldElement(S, 0), 3)]
+    moved = everything.transport(maps[1])
+    assert moved.multiplicity(INF) == everything.multiplicity(FieldElement(S, r))
+    assert moved.multiplicity(FieldElement(S, 0)) == everything.multiplicity(INF)
+    other = make_field(5) if p != 5 else make_field(3)
+    with pytest.raises(InputError):
+        lone.transport(Mobius.identity(other))
+    # INF alone, recorded over another field, moves onto a point of S
+    only_inf_other = Divisor([(INF, 3)], spec=other)
+    for mob in maps:
+        _same_divisor(only_inf_other.transport(mob),
+                      _transport_by_elements(only_inf_other, mob))
+
+
+@pytest.mark.parametrize("source,target", [((3, 1), (3, 1)), ((3, 1), (3, 2)),
+                                           ((3, 1), (3, 4)), ((3, 2), (3, 4)),
+                                           ((7, 1), (7, 4)), ((7, 2), (7, 4))])
+def test_divisor_embed_matches_elementwise(source, target):
+    S, T = make_field(*source), make_field(*target)
+    rng = random.Random(T.order + S.order)
+    everything = Divisor([(FieldElement(S, c), rng.randrange(1, 5)) for c in range(S.order)]
+                         + [(INF, 2)])
+    only_inf = Divisor([(INF, 3)])
+    lone = Divisor([(FieldElement(S, rng.randrange(S.order)), 4)])
+    for div in (everything, only_inf, lone, Divisor([(INF, 1)], spec=S)):
+        _same_divisor(div.embed(T), _embed_by_elements(div, T))
+    if T is not S:
+        with pytest.raises(InputError):
+            Divisor([(FieldElement(T, T.order - 1), 1)]).embed(make_field(T.p, T.m + 1))
+
+
+@pytest.mark.parametrize("p,m", ACTION_FIELDS)
+def test_mobius_apply_and_compose_match_elementwise(p, m):
+    S = make_field(p, m)
+    rng = random.Random(7 * S.order)
+    points = [INF] + [FieldElement(S, c) for c in (range(S.order) if S.order <= 81
+                                                    else rng.sample(range(S.order), 40))]
+    maps = [Mobius.identity(S), Mobius.from_codes(S, 0, 1, 1, 0),
+            Mobius.from_codes(S, 1, 1, 0, 1)]
+    maps += [_random_mobius(S, rng) for _ in range(8)]
+    for mob in maps:
+        assert [mob.apply(pt) for pt in points] == \
+            [_apply_by_elements(mob, pt) for pt in points]
+        for other in maps:
+            assert mob.compose(other) == _compose_by_elements(mob, other)
+    with pytest.raises(InputError):
+        maps[-1].apply(make_field(5).element(1))
+    with pytest.raises(InputError):
+        maps[-1].compose(Mobius.identity(make_field(5)))
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 1), (3, 4)])
+def test_postcompose_matches_poly_arithmetic(p, m):
+    S = make_field(p, m)
+    rng = random.Random(11 * S.order)
+    for _ in range(30):
+        cov = rand_cover(S, rng, dmax=5)
+        mob = _random_mobius(S, rng)
+        want = Cover(cov.g * mob.a + cov.h * mob.b, cov.g * mob.c + cov.h * mob.d)
+        got = cov.postcompose(mob)
+        assert got == want and got.d == want.d
+        assert got.discriminant() == cov.discriminant()
+    with pytest.raises(InputError):
+        cov.postcompose(Mobius.identity(make_field(7)))

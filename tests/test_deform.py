@@ -160,6 +160,19 @@ def test_split_oracle_rechecks_each_solution(monkeypatch):
         brute_force_tangent(NC_WILD, "xd")
 
 
+def test_oracle_rejects_a_count_that_is_not_a_power_of_q(monkeypatch):
+    # T_g(0) moved out of reach of every lookup: the solutions with h1 = 0
+    # drop out of the count, 9 for NC_WILD, which leaves no power of 3
+    real = deform.raw_T
+
+    def skewed(S, f, q):
+        return [0] * (2 * len(f)) + [1] if not q else real(S, f, q)
+
+    monkeypatch.setattr(deform, "raw_T", skewed)
+    with pytest.raises(ArithmeticError, match="is not a power of q=3"):
+        brute_force_tangent(NC_WILD, "xd")
+
+
 def test_oracle_agreement_whole_censuses_xd():
     # every class whose chart lies over the base field: the oracle, the
     # kernel and the census histogram of its discriminant agree

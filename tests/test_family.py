@@ -9,6 +9,8 @@ from p1covers import (Cover, FieldElement, InputError, Poly, SplitBoundExceeded,
                       chart_direction, elements, embed, enumerate_covers, make_field,
                       osserman_family, power_family, tangent_dim, verify_family,
                       wild_family, Family)
+from p1covers.family import _fix_infinity
+from p1covers.poly import raw_scale, raw_sub
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -282,3 +284,33 @@ def test_specialize_field_checks():
         fam.specialize(make_field(2).element(1))
     cov9 = fam.specialize(F9.element(5))
     assert cov9.spec is F9 and cov9.d == 4
+
+
+def _fix_infinity_by_cases(S, g, h, d):
+    """_fix_infinity as a swap or a subtraction, without the matrix."""
+    dg, dh = len(g) - 1, len(h) - 1
+    if dg == d and dh < d:
+        return g, h
+    if dh == d and dg < d:
+        return h, g
+    v = S.mul(g[-1], S.inv(h[-1]))
+    return h, raw_sub(S, g, raw_scale(S, h, v))
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2), (7, 4)])
+def test_fix_infinity_matches_swap_and_subtraction(p, m):
+    S = make_field(p, m)
+    rng = random.Random(S.order + 5)
+
+    def poly(deg):
+        return [rng.randrange(S.order) for _ in range(deg)] + [rng.randrange(1, S.order)]
+
+    for d in range(1, 6):
+        for _ in range(10):
+            low = rng.randrange(d)
+            # deg g = d > deg h, deg h = d > deg g, and both of degree d
+            for g, h in [(poly(d), poly(low)), (poly(low), poly(d)), (poly(d), poly(d))]:
+                want = _fix_infinity_by_cases(S, list(g), list(h), d)
+                got = _fix_infinity(S, list(g), list(h), d)
+                assert got == want
+                assert len(got[0]) - 1 == d and len(got[1]) - 1 < d
