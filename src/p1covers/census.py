@@ -24,7 +24,8 @@ else the first h cell that a translation moves, when it moves by a
 multiple of b alone (_moving_cell). A scanned class then stands
 for its t = q translates and their scaling images, t s classes; without
 a section t = 1. The other classes of a scanned class's affine orbit get
-their discriminant keys by substitution and share its tangent dimension.
+their discriminant keys by substitution (translates by poly's Taylor
+shift raw_translate) and share its tangent dimension.
 
 The scan works one g row at a time, and everything that depends on g
 alone is done once per scan task: a g row lies in every slice where
@@ -83,7 +84,7 @@ from .cover import INF, Cover, Divisor, _branch_divisor, _branch_shape
 from .errors import BudgetExceeded, InputError
 from .field import FieldSpec, make_field
 from .poly import (Poly, raw_T_columns, raw_axpy, raw_factor_sqf, raw_kernel, raw_monic,
-                   raw_rank, raw_rem, raw_sqf_list, raw_trim)
+                   raw_rank, raw_rem, raw_sqf_list, raw_translate, raw_trim)
 
 DEFAULT_BUDGET = 2_000_000
 POINTS_AUTO_LIMIT = 50_000
@@ -319,8 +320,8 @@ def enumerate_covers(spec: FieldSpec, d: int, budget: int = DEFAULT_BUDGET):
     for c2 in range(1, d + 1):
         for g, h, _, s, t in _admissible(spec, d, c2, log, memo):
             for b in range(t):
-                hb = _translate(spec, h, b)
-                gb = _translate(spec, g, b)
+                hb = raw_translate(spec, h, b)
+                gb = raw_translate(spec, g, b)
                 gb = raw_axpy(spec, gb, spec.neg(gb[len(hb) - 1]), _padded(hb, len(gb)))
                 for gk, hk in zip(_images(exp, log, gb, s), _images(exp, log, hb, s)):
                     yield Cover(Poly._raw(spec, raw_monic(spec, gk)),
@@ -333,19 +334,6 @@ def _monic_images(exp, log, a, s):
     n, N = len(a) - 1, len(log) - 1
     return [tuple(exp[(log[c] - k * (n - i)) % N] if c else 0 for i, c in enumerate(a))
             for k in range(s)]
-
-
-def _translate(S, a, b):
-    """a(x + b) for raw a, by repeated synthetic division: a list of the
-    same length, with the same leading coefficient."""
-    a = list(a)
-    if b:
-        mt, at, q = S._mul_t, S._add_t, S.order
-        row = b * q
-        for i in range(len(a) - 1):
-            for j in range(len(a) - 2, i - 1, -1):
-                a[j] = at[a[j] * q + mt[row + a[j + 1]]]
-    return a
 
 
 def _chart_block(S, g, d, dh, memo):
@@ -419,7 +407,7 @@ def _scan_chunk(args):
                     row, block = g, _chart_block(S, g, d, d - c2, memo)
                 dim = _tangent_dim_raw(S, block, h)
             for b in range(t):
-                imgs = _images(exp, log, _translate(S, disc, b) if b else disc, s)
+                imgs = _images(exp, log, raw_translate(S, disc, b) if b else disc, s)
                 keys = [tuple(raw_monic(S, img)) for img in imgs]
                 first = None            # the translate's link data, on its first new key
                 for k, key in enumerate(keys):
@@ -571,7 +559,7 @@ def _fill_translates(S, table, memo, key, first, entry):
     div = entry[4]
     out = [list(key)]
     for b in range(1, S.order):
-        t = _translate(S, key, b)
+        t = raw_translate(S, key, b)
         out.append(t)
         rec = table.get(tuple(t))
         if rec is None:

@@ -21,7 +21,7 @@ from .cover import Cover
 from .deform import brute_force_tangent, check_lift_order, lift_deformation, tangent_dim
 from .errors import BudgetExceeded, InputError, SplitBoundExceeded
 from .family import osserman_family, power_family, verify_family, wild_family
-from .field import FieldElement, make_field
+from .field import MAX_EXT_DEGREE, FieldElement, make_field
 from .poly import Poly
 
 
@@ -271,10 +271,12 @@ def _cmd_family(args):
     if args.verify > 0:
         n = args.verify
         bad = fam.degenerate_parameter()
-        k = fam.spec.m
-        while fam.spec.p ** k - (bad is not None) < n:
-            k += fam.spec.m
-        K = make_field(fam.spec.p, k)
+        p, m = fam.spec.p, fam.spec.m
+        top = MAX_EXT_DEGREE - MAX_EXT_DEGREE % m   # the largest degree containing F_q
+        k = next((k for k in range(m, top + 1, m) if p ** k - (bad is not None) >= n), None)
+        if k is None:
+            raise InputError(f"--verify count {n} exceeds the parameters of GF({p}^{top})")
+        K = make_field(p, k)
         params = range(K.order)
         if bad is not None:
             bad_code = K.embed_code(bad.code, fam.spec)

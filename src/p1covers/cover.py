@@ -109,9 +109,7 @@ class Mobius:
                 and self.a.code == self.d.code and self.a.code != 0)
 
     def embed(self, target: FieldSpec) -> "Mobius":
-        from .field import embed as embed_elem
-        return Mobius(embed_elem(self.a, target), embed_elem(self.b, target),
-                      embed_elem(self.c, target), embed_elem(self.d, target))
+        return Mobius.from_codes(target, *(target.embed_code(v, self.spec) for v in self.codes()))
 
     def codes(self):
         return (self.a.code, self.b.code, self.c.code, self.d.code)
@@ -154,6 +152,7 @@ class Divisor:
     All finite points live in one field; INF is the symbol for infinity.
     The points are kept as {code or INF: multiplicity}, and the text
     forms are rendered from the codes through the field's element_str.
+    A divisor without finite points has spec None, whatever its field.
     """
 
     __slots__ = ("spec", "_points")
@@ -177,18 +176,18 @@ class Divisor:
             if key in table:
                 raise InputError("repeated point in divisor")
             table[key] = mult
-        self.spec = spec
+        self.spec = spec if len(table) > (INF in table) else None
         self._points = table
 
     @classmethod
     def _raw(cls, spec, points) -> "Divisor":
         """Trusted construction, like Poly._raw: points is a dict {code or
         INF: multiplicity} that the library has built from checked data,
-        with codes of spec (which may be None when there are no finite
-        points) and positive int multiplicities; it is kept, not copied.
-        Only library code that made the dict itself may call this."""
+        with codes of spec and positive int multiplicities; it is kept, not
+        copied, and spec is dropped when there are no finite points. Only
+        library code that made the dict itself may call this."""
         div = object.__new__(cls)
-        div.spec = spec
+        div.spec = spec if len(points) > (INF in points) else None
         div._points = points
         return div
 
@@ -223,7 +222,7 @@ class Divisor:
 
     def transport(self, m: Mobius) -> "Divisor":
         """Move every point by the transformation; multiplicities ride along."""
-        if self.spec != m.spec and any(x is not INF for x in self._points):
+        if self.spec is not None and self.spec != m.spec:
             raise InputError("transport needs the divisor and Moebius over one field")
         return self.moved(m.spec, *m.codes())
 
@@ -231,17 +230,15 @@ class Divisor:
         """The divisor with each point x moved to (a x + b) / (c x + e), for
         codes a, b, c, e of S with a e != b c, embedded into the points'
         field (_mobius_point). A Moebius map is a bijection, so the moved
-        codes stay distinct. A result without finite points has spec None;
-        from a divisor without finite points, INF moved onto a point gets S."""
+        codes stay distinct. From a divisor without finite points, INF
+        moved onto a point gets S."""
         T, pts = self.spec, self._points
-        if T is None or len(pts) == 1 and INF in pts:
-            if not c or not pts:
-                return self
-            return Divisor._raw(S, {S.div(a, c): pts[INF]})
+        if T is None:
+            return Divisor._raw(S, {S.div(a, c): pts[INF]}) if c and pts else self
         a, b, c, e = [v if v < 2 else T.embed_code(v, S) for v in (a, b, c, e)]
         if c:
             moved = {_mobius_point(T, a, b, c, e, x): m for x, m in pts.items()}
-            return Divisor._raw(T if any(x is not INF for x in moved) else None, moved)
+            return Divisor._raw(T, moved)
         if e != 1:                          # affine: x -> x a/e + b/e
             a, b = T.div(a, e), T.div(b, e)
         at, mt, q = T._add_t, T._mul_t, T.order
@@ -272,13 +269,10 @@ class Divisor:
     def __eq__(self, other):
         if not isinstance(other, Divisor):
             return NotImplemented
-        return self._points == other._points and (
-            self.spec == other.spec or all(k is INF for k in self._points))
+        return self._points == other._points and self.spec == other.spec
 
     def __hash__(self):
-        # __eq__ ignores the field of a divisor without finite points
-        spec = self.spec if any(k is not INF for k in self._points) else None
-        return hash((spec, tuple(sorted(
+        return hash((self.spec, tuple(sorted(
             ((1, 0, v) if k is INF else (0, k, v)) for k, v in self._points.items()))))
 
     def __str__(self):
@@ -349,18 +343,13 @@ class Cover:
 
     def ram_index(self, point):
         """(e_P, wild flag): vanishing order at P of w = g - f(P) h, or of
-        w = h when f(P) = inf. At P = inf it is read off the degrees: it is
-        d - deg h when deg h < d, else d - deg(g - (g_d/h_d) h), the order at
-        0 of x^d w(1/x). At a finite point P, g and h are embedded into P's
-        field and each factor x - P is stripped from w by one synthetic
-        division."""
+        w = h when f(P) = inf. At P = inf it is d minus the degree of the
+        denominator after _fix_infinity, the order at 0 of x^d w(1/x). At a
+        finite point P, g and h are embedded into P's field and each factor
+        x - P is stripped from w by one synthetic division."""
         S, d, g, h = self.spec, self.d, self.g.c, self.h.c
         if point is INF:
-            if len(h) <= d:
-                e = d - (len(h) - 1)
-            else:
-                v = S.div(g[d], h[d]) if len(g) > d else 0
-                e = d - (len(raw_sub(S, g, raw_scale(S, h, v))) - 1)
+            e = d - (len(_fix_infinity(S, g, h, d)[1]) - 1)
             return e, e % S.p == 0
         if not isinstance(point, FieldElement):
             raise InputError(f"bad point {point!r}")
@@ -388,10 +377,8 @@ class Cover:
         """Source change: substitute x -> (ax+b)/(cx+d), cleared by (cx+d)^d."""
         if m.spec != self.spec:
             raise InputError("Moebius transformation over a different field")
-        S, d = self.spec, self.d
-        a, b, c, dd = m.codes()
-        G = raw_mobius_substitute(S, list(self.g.c), d, a, b, c, dd)
-        H = raw_mobius_substitute(S, list(self.h.c), d, a, b, c, dd)
+        S = self.spec
+        G, H = (raw_mobius_substitute(S, P.c, self.d, *m.codes()) for P in (self.g, self.h))
         return Cover(Poly._raw(S, G), Poly._raw(S, H))
 
     def embed(self, target: FieldSpec) -> "Cover":
@@ -500,7 +487,7 @@ def _branch_divisor(S, sqf, l_inf, max_ext):
     points = dict(roots)
     if l_inf > 0:
         points[INF] = l_inf
-    return Divisor._raw(T if roots else None, points), residual
+    return Divisor._raw(T, points), residual
 
 
 def make_cover(g: Poly, h: Poly) -> Cover:
@@ -582,6 +569,15 @@ def _raw_postcompose(S, A, g, h):
     """(a g + b h, c g + d h) for A = (a, b, c, d) codes."""
     return (raw_add(S, raw_scale(S, g, A[0]), raw_scale(S, h, A[1])),
             raw_add(S, raw_scale(S, g, A[2]), raw_scale(S, h, A[3])))
+
+
+def _fix_infinity(S, g, h, d):
+    """Post-compose so that the map fixes infinity; returns (g, h). When
+    deg h = d that is (h, g - v h), v = g_d / h_d (a swap when deg g < d)."""
+    if len(h) <= d:
+        return g, h
+    v = S.div(g[d], h[d]) if len(g) > d else 0
+    return _raw_postcompose(S, (0, 1, 1, S.neg(v)), g, h)
 
 
 def _raw_normalize(S, g, h, d, disc_raw, max_ext):

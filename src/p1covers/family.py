@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cover import INF, Cover, _branch_divisor, _branch_shape, _raw_postcompose
+from .cover import INF, Cover, _branch_divisor, _branch_shape, _fix_infinity
 from .deform import DeformationVector
 from .errors import InputError, SplitBoundExceeded
 from .field import FieldElement, FieldSpec, make_field
@@ -68,15 +68,6 @@ class Family:
         return {"description": self.description, "g": str(self.g),
                 "h": str(self.h), "bump": str(self.bump),
                 "p": self.spec.p, "ext": self.spec.m, "degree": self.d}
-
-
-def _fix_infinity(S, g, h, d):
-    """Post-compose so that the map fixes infinity; returns (g, h). When
-    deg h = d that is (h, g - v h), v = g_d / h_d (a swap when deg g < d)."""
-    if len(h) <= d:
-        return g, h
-    v = S.div(g[d], h[d]) if len(g) > d else 0
-    return _raw_postcompose(S, (0, 1, 1, S.neg(v)), g, h)
 
 
 def wild_family(c: Cover, max_ext: int = 4) -> Family:
@@ -223,8 +214,7 @@ def chart_direction(fam: Family, max_ext: int = 4):
     # the bump must not disturb the discriminant even to first order
     if raw_T(S, w, h):
         raise InputError("family discriminant is not constant to first order")
-    if not nc.source_change.is_identity():
-        w = raw_mobius_substitute(S, w, d, *nc.source_change.codes())
+    w = raw_mobius_substitute(S, w, d, *nc.source_change.codes())
     A = nc.target_change.codes()
     gN, hN = list(nc.cover.g.c), list(nc.cover.h.c)
     wd, wd1 = (w[k] if k < len(w) else 0 for k in (d, d - 1))

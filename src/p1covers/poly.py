@@ -9,11 +9,13 @@ compute each entry, so the same loops serve every field. Two loops
 choose by `FieldSpec.tabled`: above the limit, `raw_pow_mod` and
 `_trace_mod` square and multiply residues mod h on `field`'s packed
 ints, one int product per step, instead of k^2 computed entries. The
-census enumeration lives on this layer. It is the library's only
-polynomial code: `field` runs its modulus search, untabled inversion and
-embeddings on it over F_p or the target field. The `Poly` /
-`FieldMatrix` / `PolyMatrix` classes wrap the same routines behind an
-immutable interface.
+census enumeration lives on this layer, and so does its Taylor shift
+`raw_translate`, on which the one precomposition algorithm,
+`raw_mobius_substitute`, is built from affine steps. It is the
+library's only polynomial code: `field` runs its modulus search,
+untabled inversion and embeddings on it over F_p or the target field.
+The `Poly` / `FieldMatrix` / `PolyMatrix` classes wrap the same
+routines behind an immutable interface.
 
 Factorization strategy is deliberately elementary: squarefree
 decomposition with the characteristic-p p-th-power extraction step,
@@ -243,21 +245,41 @@ def raw_embed(S, T, a):
     return raw_trim([T.embed_code(c, S) for c in a])
 
 
+def raw_translate(S, a, b):
+    """a(x + b) for raw a, by repeated synthetic division (a Taylor
+    shift): a list of the same length, with the same leading coefficient."""
+    a = list(a)
+    if b:
+        mt, at, q = S._mul_t, S._add_t, S.order
+        row = b * q
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] = at[a[j] * q + mt[row + a[j + 1]]]
+    return a
+
+
+def _raw_affine(S, a, s, t, k=1):
+    """k a(s x + t) for raw a and codes s, k != 0: a Taylor shift by t,
+    then coefficient i times k s^i."""
+    a = raw_translate(S, a, t)
+    mt, q = S._mul_t, S.order
+    for i, c in enumerate(a):
+        a[i] = mt[c * q + k]
+        k = mt[k * q + s]
+    return a
+
+
 def raw_mobius_substitute(S, P, dtot, ma, mb, mc, md):
-    """(mc*x + md)^dtot * P((ma*x + mb)/(mc*x + md)), coefficients over S."""
-    A = raw_trim([mb, ma])
-    C = raw_trim([md, mc])
-    apows = [[1]]
-    cpows = [[1]]
-    for _ in range(dtot):
-        apows.append(raw_mul(S, apows[-1], A))
-        cpows.append(raw_mul(S, cpows[-1], C))
-    out = []
-    for i in range(min(len(P), dtot + 1)):
-        c = P[i]
-        if c:
-            out = raw_add(S, out, raw_scale(S, raw_mul(S, apows[i], cpows[dtot - i]), c))
-    return out
+    """(mc x + md)^dtot P((ma x + mb)/(mc x + md)) over S, for deg P <= dtot
+    and ma md != mb mc: with mc = 0 one affine step by (ma/md, mb/md)
+    scaled by md^dtot; else, as the map is ma/mc + s/(mc x + md) with
+    s = (mb mc - ma md)/mc, P(s x + ma/mc) reversed to degree dtot and
+    taken at mc x + md."""
+    if not mc:
+        return _raw_affine(S, P, S.div(ma, md), S.div(mb, md), S.pow_code(md, dtot))
+    s = S.div(S.sub(S.mul(mb, mc), S.mul(ma, md)), mc)
+    Q = _raw_affine(S, P, s, S.div(ma, mc))
+    return _raw_affine(S, raw_trim([0] * (dtot + 1 - len(Q)) + Q[::-1]), mc, md)
 
 
 # -- factorization ----------------------------------------------------------

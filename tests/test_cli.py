@@ -289,6 +289,13 @@ def test_family_rejects_negative_verify(capsys):
     assert code == 2 and "--verify" in err and out == ""
 
 
+def test_family_verify_count_beyond_the_largest_field(capsys):
+    code, out, err = run(capsys, "family", "wild", "x^4", "--p", "3", "--verify", "100000000")
+    assert code == 2 and out == ""
+    assert "--verify count 100000000 exceeds the parameters of GF(3^12)" in err
+    assert "extension degree" not in err
+
+
 def test_argparse_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["disc", "x", "--p"])

@@ -400,6 +400,21 @@ def test_divisor_raw_matches_validating_constructor(spec, pairs):
         assert bare == raw and hash(bare) == hash(raw)
 
 
+def test_divisor_without_finite_points_has_no_field():
+    F5, F25 = make_field(5), make_field(5, 2)
+    made = Divisor([(INF, 3)], spec=F5)
+    bare = Divisor([(INF, 3)])
+    assert made.spec is None and bare.spec is None
+    assert made == bare and hash(made) == hash(bare)
+    assert made.embed(F25).spec is None and made.embed(F25) == bare
+    assert Divisor._raw(F5, {INF: 3}).spec is None
+    assert Divisor([], spec=F5).spec is None and Divisor._raw(F5, {}).spec is None
+    # a point moved to infinity leaves no field; one moved off it takes the map's
+    lone = Divisor([(F5.element(2), 3)])
+    assert lone.moved(F5, 0, 1, 1, 3).spec is None
+    assert lone.moved(F5, 0, 1, 1, 3).moved(F5, 0, 1, 1, 0).spec is F5
+
+
 def test_divisor_validation():
     with pytest.raises(InputError):
         Divisor([(F3.element(1), 0)])

@@ -10,7 +10,8 @@ from p1covers import (Cover, FieldElement, FieldMatrix, InputError, Poly, PolyMa
                       kernel_basis, make_field, poly_arith, poly_gcd,
                       rank_over_kX, roots_with_multiplicity)
 from p1covers.cli import main
-from p1covers.poly import raw_add, raw_eval, raw_mul, raw_pow_mod, raw_rem
+from p1covers.poly import (raw_add, raw_eval, raw_mobius_substitute, raw_mul, raw_pow_mod,
+                          raw_rem, raw_scale, raw_translate, raw_trim)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -826,3 +827,76 @@ def test_poly_evaluate_and_embed():
     assert f.evaluate(u).code == 0          # u^2 + 1 = 0
     g = f.embed(F9)
     assert g.spec is F9 and g.degree() == 2
+
+
+def _substitute_by_power_lists(S, P, n, a, b, c, e):
+    """(cx + e)^n P((ax + b)/(cx + e)) as the sum of P_i (ax + b)^i (cx + e)^(n-i)."""
+    A, C = raw_trim([b, a]), raw_trim([e, c])
+    apows, cpows = [[1]], [[1]]
+    for _ in range(n):
+        apows.append(raw_mul(S, apows[-1], A))
+        cpows.append(raw_mul(S, cpows[-1], C))
+    out = []
+    for i, coef in enumerate(P):
+        if coef:
+            out = raw_add(S, out, raw_scale(S, raw_mul(S, apows[i], cpows[n - i]), coef))
+    return out
+
+
+def _substitution_cases(S, rng):
+    """(P, n, (a, b, c, e)): random ones plus P = [], deg P < n, c = 0 with
+    e != 1, a root of P at the map's image of infinity (the result drops
+    in degree) and a pole of the map at which the result vanishes."""
+    q = S.order
+
+    def poly(deg):
+        return raw_trim([rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)])
+
+    def invertible(c=None):
+        while True:
+            m = [rng.randrange(q) for _ in range(4)]
+            if c is not None:
+                m[2] = c
+            if S.sub(S.mul(m[0], m[3]), S.mul(m[1], m[2])):
+                return tuple(m)
+
+    out = []
+    for _ in range(12):
+        n = rng.randint(0, 6)
+        out.append((poly(rng.randint(0, n)), n, invertible()))
+    out.append(([], 4, invertible(1)))
+    out.append(([], 3, invertible(0)))
+    out.append((poly(2), 5, invertible(1)))
+    if q > 2:
+        e = rng.randrange(2, q)
+        out.append((poly(3), 4, (rng.randrange(1, q), rng.randrange(q), 0, e)))
+    r = rng.randrange(q)                        # P(r) = 0 and the map sends inf to r
+    P = raw_mul(S, [S.neg(r), 1], poly(2))
+    b = next(b for b in range(q) if S.sub(r, b))
+    out.append((P, 4, (r, b, 1, 1)))
+    out.append((poly(1), 3, (1, 0, 1, S.neg(r))))   # -r goes to inf, deg P < n
+    return out
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2),
+                                 (7, 4), (3, 7), (2, 10)])
+def test_mobius_substitute_matches_power_lists_and_values(p, m):
+    S = make_field(p, m)
+    rng = random.Random(100 * p + m)
+    q = S.order
+    # every point of a small field; a sample above 81 elements
+    xs = range(q) if q <= 81 else rng.sample(range(q), 40)
+    for P, n, (a, b, c, e) in _substitution_cases(S, rng):
+        got = raw_mobius_substitute(S, list(P), n, a, b, c, e)
+        assert got == _substitute_by_power_lists(S, P, n, a, b, c, e)
+        assert len(got) <= n + 1 and (not got or got[-1])
+        for x in xs:
+            den = S.add(S.mul(c, x), e)
+            if den:
+                y = S.div(S.add(S.mul(a, x), b), den)
+                assert raw_eval(S, got, x) == S.mul(S.pow_code(den, n), raw_eval(S, P, y))
+        for t in [0, 1, rng.randrange(q)]:
+            shifted = raw_translate(S, P, t)
+            assert len(shifted) == len(P) and shifted[-1:] == list(P[-1:])
+            for x in xs[:20]:
+                assert raw_eval(S, shifted, x) == raw_eval(S, P, S.add(x, t))
