@@ -24,6 +24,10 @@ from .family import osserman_family, power_family, verify_family, wild_family
 from .field import MAX_EXT_DEGREE, FieldElement, make_field
 from .poly import Poly
 
+# the most samples `family --verify` takes: 500 Osserman fibers at p = 13,
+# in the untabled F_2197, take 4-6 s on a 2-core box
+MAX_VERIFY = 500
+
 
 def _add_common(sp):
     sp.add_argument("--p", type=int, required=True, help="prime characteristic")
@@ -83,7 +87,7 @@ def build_parser():
     sp.add_argument("cover", nargs="?", default=None,
                     help='base cover (required for kind "wild")')
     sp.add_argument("--verify", type=int, default=0, metavar="N",
-                    help="verify on N sampled parameter values")
+                    help=f"verify on N sampled parameter values (at most {MAX_VERIFY})")
     sp.add_argument("--seed", type=int, default=0, help="seed for sampled verification")
     _add_common(sp)
     _add_max_ext(sp)
@@ -276,6 +280,8 @@ def _cmd_family(args):
         k = next((k for k in range(m, top + 1, m) if p ** k - (bad is not None) >= n), None)
         if k is None:
             raise InputError(f"--verify count {n} exceeds the parameters of GF({p}^{top})")
+        if n > MAX_VERIFY:
+            raise InputError(f"--verify count {n} exceeds the limit of {MAX_VERIFY} samples")
         K = make_field(p, k)
         params = range(K.order)
         if bad is not None:

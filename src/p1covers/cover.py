@@ -342,25 +342,13 @@ class Cover:
         return tuple(sorted(finite + (l_inf,))) if l_inf > 0 else finite
 
     def ram_index(self, point):
-        """(e_P, wild flag): vanishing order at P of w = g - f(P) h, or of
-        w = h when f(P) = inf. At P = inf it is d minus the degree of the
-        denominator after _fix_infinity, the order at 0 of x^d w(1/x). At a
-        finite point P, g and h are embedded into P's field and each factor
-        x - P is stripped from w by one synthetic division."""
-        S, d, g, h = self.spec, self.d, self.g.c, self.h.c
-        if point is INF:
-            e = d - (len(_fix_infinity(S, g, h, d)[1]) - 1)
-            return e, e % S.p == 0
-        if not isinstance(point, FieldElement):
+        """(e_P, wild flag) at INF or at a FieldElement P: _ram_index of g
+        and h embedded into P's field."""
+        if point is not INF and not isinstance(point, FieldElement):
             raise InputError(f"bad point {point!r}")
-        T, P = point.spec, point.code
-        g, h = raw_embed(S, T, g), raw_embed(S, T, h)
-        h_val = raw_eval(T, h, P)
-        w = raw_sub(T, g, raw_scale(T, h, T.div(raw_eval(T, g, P), h_val))) if h_val else h
-        e = 0
-        while not raw_eval(T, w, P):
-            w = raw_quo_root(T, w, P)
-            e += 1
+        S = self.spec
+        T = S if point is INF else point.spec
+        e = _ram_index(T, raw_embed(S, T, self.g.c), raw_embed(S, T, self.h.c), self.d, point)
         return e, e % S.p == 0
 
     # -- group actions ---------------------------------------------------------
@@ -578,6 +566,23 @@ def _fix_infinity(S, g, h, d):
         return g, h
     v = S.div(g[d], h[d]) if len(g) > d else 0
     return _raw_postcompose(S, (0, 1, 1, S.neg(v)), g, h)
+
+
+def _ram_index(T, g, h, d, point):
+    """Ramification index at point of the degree-d raw pair (g, h) over T,
+    a field holding the point: at INF, d minus the denominator's degree
+    after _fix_infinity; at P, the vanishing order of w = g - f(P) h, or
+    of w = h when f(P) = inf, one synthetic division per factor x - P."""
+    if point is INF:
+        return d - (len(_fix_infinity(T, g, h, d)[1]) - 1)
+    P = point.code
+    h_val = raw_eval(T, h, P)
+    w = raw_sub(T, g, raw_scale(T, h, T.div(raw_eval(T, g, P), h_val))) if h_val else h
+    e = 0
+    while not raw_eval(T, w, P):
+        w = raw_quo_root(T, w, P)
+        e += 1
+    return e
 
 
 def _raw_normalize(S, g, h, d, disc_raw, max_ext):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .cartier import decompose, reassemble
+from .cartier import _slices, reassemble
 from .cover import NormalizedCover
 from .errors import BudgetExceeded, InputError
 from .field import FieldElement, FieldSpec
@@ -307,10 +307,7 @@ def structure_decomposition(nc: NormalizedCover, v: DeformationVector):
     p = S.p
     if v.g1.spec != S or v.h1.spec != S:
         raise InputError("deformation vector over a different field than the cover")
-    gd = [list(c.c) for c in decompose(cov.g)]
-    hd = [list(c.c) for c in decompose(cov.h)]
-    g1d = [list(c.c) for c in decompose(v.g1)]
-    h1d = [list(c.c) for c in decompose(v.h1)]
+    gd, hd, g1d, h1d = (_slices(S, P.c) for P in (cov.g, cov.h, v.g1, v.h1))
     rows = []
     for i in range(p):  # alpha*h_i + beta*g_i - g1_i = 0
         rows.append([hd[i], gd[i], [], [S.neg(c) for c in g1d[i]]])

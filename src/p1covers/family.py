@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cover import INF, Cover, _branch_divisor, _branch_shape, _fix_infinity
+from .cover import INF, Cover, _branch_divisor, _branch_shape, _fix_infinity, _ram_index
 from .deform import DeformationVector
 from .errors import InputError, SplitBoundExceeded
 from .field import FieldElement, FieldSpec, make_field
@@ -166,19 +166,18 @@ def verify_family(fam: Family, ts, max_ext: int = 4) -> dict:
         divisors.append(lengths[key])
     specs = {div.spec for div in divisors if div.spec is not None}
     if len(specs) > 1:
-        join = 1
-        for sp in specs:
-            join = math.lcm(join, sp.m)
-        J = make_field(fam.spec.p, join)
+        J = make_field(fam.spec.p, math.lcm(*(sp.m for sp in specs)))
         divisors = [div.embed(J) for div in divisors]
     length_divisor_constant = all(div == divisors[0] for div in divisors)
     ram_indices = {}
     support = divisors[0].support()
+    T = K if divisors[0].spec is None else divisors[0].spec   # the points' one field
     for t, cov in zip(ts_K, covers):
+        g, h = (raw_embed(K, T, P.c) for P in (cov.g, cov.h))
         row = {}
         for pt in support:
-            e, wild = cov.ram_index(pt)
-            row[str(pt)] = {"e": e, "wild": wild}
+            e = _ram_index(T, g, h, cov.d, pt)
+            row[str(pt)] = {"e": e, "wild": e % K.p == 0}
         ram_indices[str(t)] = row
     planes = {cov.plane() for cov in covers}
     pairwise_inequivalent = len(planes) == len(covers)

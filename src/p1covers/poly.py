@@ -657,7 +657,8 @@ def _pm_row_normalize(S, row):
     return row
 
 
-def _pm_echelon(S, rows, ncols, reduced=False):
+def _pm_echelon(S, rows, ncols):
+    """Fraction-free reduced echelon form over k(X): (rows, pivots)."""
     rows = [_pm_row_normalize(S, [list(e) for e in row]) for row in rows]
     rows = [r for r in rows if any(r)]
     pivots = []
@@ -675,12 +676,9 @@ def _pm_echelon(S, rows, ncols, reduced=False):
         i = best[1]
         rows[r], rows[i] = rows[i], rows[r]
         piv = rows[r][col]
-        targets = range(len(rows)) if reduced else range(r + 1, len(rows))
-        for j in targets:
-            if j == r:
-                continue
+        for j in range(len(rows)):
             e = rows[j][col]
-            if e:
+            if e and j != r:
                 rows[j] = _pm_row_normalize(
                     S,
                     [raw_sub(S, raw_mul(S, piv, rows[j][k]), raw_mul(S, e, rows[r][k]))
@@ -690,42 +688,25 @@ def _pm_echelon(S, rows, ncols, reduced=False):
     return [row for row in rows if any(row)], pivots
 
 
-def polymat_rank(S, rows, ncols):
-    return len(_pm_echelon(S, rows, ncols)[1])
-
-
 def polymat_kernel(S, rows, ncols):
     """(rank, kernel basis) over k(X); vectors have polynomial entries
     with common content removed."""
-    ech, pivots = _pm_echelon(S, rows, ncols, reduced=True)
-    rank = len(pivots)
+    ech, pivots = _pm_echelon(S, rows, ncols)
     pivset = set(pivots)
-    piv_entries = [ech[i][pivots[i]] for i in range(rank)]
+    piv_entries = [row[c] for row, c in zip(ech, pivots)]
+    prod_all = [1]
+    for pe in piv_entries:
+        prod_all = raw_mul(S, prod_all, pe)
     basis = []
     for fc in range(ncols):
         if fc in pivset:
             continue
         v = [[] for _ in range(ncols)]
-        prod_all = [1]
-        for pe in piv_entries:
-            prod_all = raw_mul(S, prod_all, pe)
-        v[fc] = prod_all
-        for i in range(rank):
-            others = [1]
-            for j in range(rank):
-                if j != i:
-                    others = raw_mul(S, others, piv_entries[j])
-            v[pivots[i]] = raw_neg(S, raw_mul(S, ech[i][fc], others))
+        v[fc] = list(prod_all)
+        for row, c, pe in zip(ech, pivots, piv_entries):   # prod_all / pe: the other pivots
+            v[c] = raw_neg(S, raw_mul(S, row[fc], raw_quo_exact(S, prod_all, pe)))
         basis.append(_pm_row_normalize(S, v))
-    return rank, basis
-
-
-def polymat_canonical_rows(S, rows, ncols):
-    """Canonical form of the row space over k(X): reduced echelon with
-    content removed and first entries monic. Equal row spaces give equal
-    tuples."""
-    ech, _ = _pm_echelon(S, rows, ncols, reduced=True)
-    return tuple(tuple(tuple(e) for e in row) for row in ech)
+    return len(pivots), basis
 
 
 # ---------------------------------------------------------------------------
@@ -852,8 +833,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def derivative(self) -> "Poly":

@@ -246,3 +246,112 @@ def test_columns_match_decomposed_images():
         assert all(sum(map(bool, col)) == 1 for col in c[1:])
     with pytest.raises(InputError):
         _columns(Poly.zero(F3))
+
+
+# -- closed forms against the elimination over k(X) they replace -------------
+
+F7, F11, F13 = make_field(7), make_field(11), make_field(13)
+F9, F25, F49 = make_field(3, 2), make_field(5, 2), make_field(7, 2)
+
+
+def elimination_kernel(f):
+    """(dimension, basis) from the fraction-free null space of the matrix."""
+    from p1covers.cartier import _columns
+    from p1covers.poly import polymat_kernel
+    S = f.spec
+    _, vecs = polymat_kernel(S, list(zip(*_columns(f))), S.p)
+    return len(vecs), [[tuple(e) for e in v] for v in vecs]
+
+
+def elimination_image(f):
+    """(dimension, rows) of the reduced fraction-free echelon form of the
+    columns, content removed and first entries monic."""
+    from p1covers.cartier import _columns
+    from p1covers.poly import _pm_echelon
+    S = f.spec
+    rows, _ = _pm_echelon(S, _columns(f), S.p)
+    return len(rows), [[tuple(e) for e in row] for row in rows]
+
+
+def elimination_in_image(f, q):
+    """Whether appending decompose(q) to the columns keeps the rank."""
+    from p1covers.cartier import _columns
+    from p1covers.poly import _pm_echelon
+    S = f.spec
+    cols = _columns(f)
+    target = [list(c.c) for c in decompose(q)]
+    return (len(_pm_echelon(S, cols + [target], S.p)[1])
+            == len(_pm_echelon(S, cols, S.p)[1]))
+
+
+def codes(result):
+    dim, basis = result
+    return dim, [[e.c for e in v] for v in basis]
+
+
+def assert_closed_forms(f):
+    assert codes(kernel_T(f)) == elimination_kernel(f), f
+    assert codes(image_T(f)) == elimination_image(f), f
+
+
+@pytest.mark.parametrize("spec, max_deg", [(F2, 4), (F3, 4), (F4, 4), (F5, 3), (F9, 3)])
+def test_closed_forms_match_elimination_exhaustive(spec, max_deg):
+    for f in nonzero_polys(spec, max_deg):
+        assert_closed_forms(f)
+
+
+@pytest.mark.parametrize("spec", [F7, F11, F13, F25, F49])
+def test_closed_forms_match_elimination_random(spec):
+    rng = random.Random(spec.order)
+    for _ in range(200):
+        assert_closed_forms(rand_poly(spec, rng.randrange(9), rng))
+
+
+def test_closed_forms_match_elimination_edge_cases():
+    for spec in (F2, F3, F4, F5, F7, F9, F11, F13, F49):
+        p = spec.p
+        rng = random.Random(spec.order + 1)
+        xp = Poly(spec, _spread([0, 1], p))                        # X = x^p
+        cases = [Poly.constant(spec, c) for c in range(1, min(spec.order, 5))]
+        for _ in range(6):
+            u = Poly(spec, _spread(list(rand_poly(spec, rng.randrange(4), rng).c), p))
+            g = rand_poly(spec, rng.randrange(1, 6), rng)
+            cases += [u,                                         # f' = 0
+                      xp * g, xp * xp * g,                       # content X, X^2
+                      xp * u]                                    # both
+        for f in cases:
+            assert_closed_forms(f)
+            if f.derivative().is_zero():
+                # f lies in k(x^p): the kernel is e_0 and T_f = -f d/dx
+                assert [e.c for e in kernel_T(f)[1][0]] == [(1,)] + [()] * (p - 1)
+    # p = 2: the image is {u_1 = 0} whatever f is
+    for f in nonzero_polys(F4, 3):
+        assert [[e.c for e in v] for v in image_T(f)[1]] == [[(1,), ()]]
+
+
+def test_in_image_matches_rank_test():
+    rng = random.Random(28)
+    for spec in (F2, F3, F4, F5, F7, F9, F11, F13, F25, F49):
+        for _ in range(25):
+            f = rand_poly(spec, rng.randrange(7), rng)
+            q = rand_poly(spec, rng.randrange(12), rng)
+            member = apply_T(f, rand_poly(spec, rng.randrange(8), rng))
+            for target in (q, member, member + q, Poly.zero(spec)):
+                assert in_image(f, target) == elimination_in_image(f, target)
+            assert in_image(f, member)
+
+
+def test_wrong_closed_forms_fail_their_checks(monkeypatch):
+    from p1covers import cartier
+    from p1covers.poly import raw_trim
+    f = Poly.parse("x^4 + 2*x + 1", F5)
+    kernel_T(f), image_T(f)
+
+    def wrong_stride(S, a):      # coordinates read with stride p - 1, not p
+        return [raw_trim(list(a[i::S.p - 1])) for i in range(S.p)]
+
+    monkeypatch.setattr(cartier, "_slices", wrong_stride)
+    with pytest.raises(ArithmeticError, match="kernel of T_f has dimension 0, expected 1"):
+        kernel_T(f)
+    with pytest.raises(ArithmeticError, match="image of T_f has dimension 5, expected 4"):
+        image_T(f)

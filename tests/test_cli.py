@@ -296,6 +296,31 @@ def test_family_verify_count_beyond_the_largest_field(capsys):
     assert "extension degree" not in err
 
 
+def test_family_verify_count_limit(capsys, monkeypatch):
+    from p1covers import cli
+    from p1covers.cover import Cover
+    counts = []
+
+    def fake_verify(fam, ts, max_ext):
+        counts.append(len(ts))
+        return dict.fromkeys(("disc_constant", "length_divisor_constant",
+                              "pairwise_inequivalent"), True)
+
+    monkeypatch.setattr(cli, "verify_family", fake_verify)
+    code, out, err = run(capsys, "family", "power", "--p", "3",
+                         "--verify", str(cli.MAX_VERIFY))
+    assert code == 0 and err == "" and counts == [cli.MAX_VERIFY]
+
+    def no_cover(*args):
+        raise AssertionError("a cover was built before the count was refused")
+
+    monkeypatch.setattr(Cover, "__init__", no_cover)
+    code, out, err = run(capsys, "family", "power", "--p", "3",
+                         "--verify", str(cli.MAX_VERIFY + 1))
+    assert code == 2 and out == "" and counts == [cli.MAX_VERIFY]
+    assert f"--verify count {cli.MAX_VERIFY + 1} exceeds the limit of {cli.MAX_VERIFY}" in err
+
+
 def test_argparse_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["disc", "x", "--p"])
