@@ -27,6 +27,17 @@ a section t = 1. The other classes of a scanned class's affine orbit get
 their discriminant keys by substitution (translates by poly's Taylor
 shift raw_translate) and share its tangent dimension.
 
+Over F_q = F_{p^m}, m > 1, the p-power Frobenius σ acts on the classes
+coefficient by coefficient: it sends discriminant D to σ(D), keeps the
+tangent dimension, keeps pivots and zero cells, so the sections, and
+maps x -> ax + b orbits to orbits. The scan keeps one affine orbit per
+Frobenius orbit of them, the one whose scanned class is least in scan
+order among its conjugates', with its Frobenius period f, a divisor of m
+(f = 1 over a prime field), and expands the f - 1 conjugate orbits by a
+code-table map on the keys. So a kept class stands for f t s classes
+and costs one tangent rank; each of them still gets its own monic key,
+one raw_monic per class, which is the census's class count.
+
 The scan works one g row at a time, and everything that depends on g
 alone is done once per scan task: a g row lies in every slice where
 its cell c2 is zero, and the slices of one task share a memo of g-row
@@ -188,15 +199,16 @@ def _moving_cell(p, hvals):
 
 
 def _admissible(S, d, c2, log, memo, part=0, parts=1):
-    """Raw (g, h, disc, s, t), one admissible echelon matrix with pivots at
-    columns (0, c2) per orbit of the affine maps x -> γ^k x + b where a
-    translation section exists, else per orbit of x -> γ^k x; disc =
-    h g' - g h', s is the size of the class's scaling orbit and t the
-    number of its translates, q or 1. Only the g rows at positions part,
-    part + parts, part + 2 parts, ... of _g_starts are scanned, so the
-    parts of a split together scan the slice once. `log` comes from
-    _scaling; `memo` holds the _g_row data of the g rows already seen, so
-    slices that share a g row build it once.
+    """Raw (g, h, disc, s, t, f), one admissible echelon matrix with pivots
+    at columns (0, c2) per Frobenius orbit of the orbits of the affine maps
+    x -> γ^k x + b where a translation section exists, else of x -> γ^k x;
+    disc = h g' - g h', s is the size of the class's scaling orbit, t the
+    number of its translates, q or 1, and f its Frobenius period, a
+    divisor of m. Only the g rows at positions part, part + parts, part +
+    2 parts, ... of _g_starts are scanned, so the parts of a split
+    together scan the slice once. `log` comes from _scaling; `memo` holds
+    the _g_row data of the g rows already seen, so slices that share a g
+    row build it once.
 
     Column j holds the coefficient of x^(d-j). With the pivots put back
     to 1, the scaling multiplies g_j by γ^(-k j) and h_j by γ^(k (c2-j)),
@@ -214,45 +226,129 @@ def _admissible(S, d, c2, log, memo, part=0, parts=1):
     images, each exactly once. Free cells run in the fixed element
     order, the h row fastest.
 
+    The p-power Frobenius σ, applied cell by cell, keeps pivots and zero
+    cells, so the sections, and maps the orbit of γ^k to that of γ^(p k):
+    it permutes these orbits, and the scanned class of σ^j(r) is the
+    scaling-canonical form of σ^j applied to r's cells (_conjugate_cmp).
+    A class r is kept when r <= canon(σ^j r) in scan order, lexicographic
+    on (g cells, h cells), for every 0 < j < m; f is the least j with
+    equality, or m, so σ^j(r), j < f, are the f distinct orbits of r's
+    Frobenius orbit. The g cells decide first: a g row with a conjugate
+    below it is skipped whole, before _g_row builds it, and the h test
+    runs only for the j whose conjugate of g is g itself.
+
     For a fixed g row, h -> (T_g(h), h mod P for each monic irreducible
     factor P of g) is affine in the free h cells, with the rows of _g_row
     as its base and cells, so each h row costs one scaled vector add per
-    changed cell, the last cell most of the time. A zero residue block
-    means a shared factor, a zero discriminant an inseparable plane.
+    changed cell, the last cell most of the time; a skipped h row passes
+    its first changed cell on to the next. A zero residue block means a
+    shared factor, a zero discriminant an inseparable plane.
     """
-    p, q = S.p, S.order
+    p, q, m = S.p, S.order, S.m
     free_g = _free_g(p, d, c2)
     g_section = c2 > 1 and d % p != 0
     free_h = list(range(c2 + 1, d + 1))
     n = 2 * d - 1
-    h_rows = {}         # stabilizer step -> [(h, h cells, s, t, first changed cell)]
+    N = q - 1
+    g_weights = [-j for j in free_g]
+    h_weights = [c2 - j for j in free_h]
+    exp = S._primitive_powers()                 # exp[log c] = c
+    powers = [(j, pow(p, j, N)) for j in range(1, m)]
+    h_rows = {}         # stabilizer step -> [(h, h cells, s, t, first changed cell, steps)]
     for gvals, sg in _g_starts(log, d, c2, p)[part::parts]:
+        fixed = _fixed_conjugates(log, g_weights, gvals, powers, N, exp) if m > 1 else []
+        if fixed is None:
+            continue                                # a conjugate's g row comes first
         g = _row(d, 0, free_g, gvals)
         hs = h_rows.get(sg)
         if hs is None:
             hs = h_rows[sg] = []
             last = ()
-            for hvals, s in _orbit_starts(log, [c2 - j for j in free_h], sg):
+            for hvals, s in _orbit_starts(log, h_weights, sg):
                 cell = None if g_section else _moving_cell(p, hvals)
                 if cell is not None and hvals[cell]:
                     continue                        # off the section
                 changed = next((i for i, (u, v) in enumerate(zip(hvals, last)) if u != v),
                                len(last))
                 t = q if g_section or cell is not None else 1
-                hs.append((_row(d, c2, free_h, hvals), hvals, s, t, changed))
+                steps = _conjugate_steps(log, h_weights, hvals, sg, N) if m > 1 else None
+                hs.append((_row(d, c2, free_h, hvals), hvals, s, t, changed, steps))
                 last = hvals
         rows, blocks, _ = _g_row(S, g, d, memo)
         cells = [rows[d - j] for j in free_h]
-        acc = [rows[d - c2]] * (len(cells) + 1)     # acc[i + 1]: base plus cells 0..i
-        for h, hvals, s, t, changed in hs:
-            for i in range(changed, len(cells)):
+        top = len(cells)
+        acc = [rows[d - c2]] * (top + 1)            # acc[i + 1]: base plus cells 0..i
+        start = top
+        for h, hvals, s, t, changed, steps in hs:
+            if changed < start:
+                start = changed
+            f = m
+            for j, pj, k in fixed:
+                c = _conjugate_cmp(steps, hvals, pj, k, N, exp)[0]
+                if c <= 0:
+                    f = j if c == 0 else 0
+                    break
+            if not f:
+                continue                            # a conjugate comes first
+            for i in range(start, top):
                 c = hvals[i]
                 acc[i + 1] = raw_axpy(S, acc[i], c, cells[i]) if c else acc[i]
+            start = top
             vec = acc[-1]
             if all(any(vec[lo:hi]) for lo, hi in blocks):
                 disc = raw_trim(vec[:n])
                 if disc:
-                    yield g, h, disc, s, t
+                    yield g, h, disc, s, t, f
+
+
+def _fixed_conjugates(log, weights, gvals, powers, N, exp):
+    """None when the canonical form of some σ^j(g) comes before the g row
+    gvals, else [(j, p^j, k)] for the j, in powers, with canon(σ^j g) = g,
+    k the scaling that takes σ^j(g) there. These j are the multiples of
+    the least of them, since σ permutes the scaling orbits, and no other
+    j needs a test: canon(σ^(i+j) g) = canon(σ^i g) for such j."""
+    steps = _conjugate_steps(log, weights, gvals, 1, N)
+    for j, pj in powers:
+        c = _conjugate_cmp(steps, gvals, pj, 0, N, exp)[0]
+        if c < 0:
+            return None
+        if c == 0:
+            return [(i, pi, _conjugate_cmp(steps, gvals, pi, 0, N, exp)[1])
+                    for i, pi in powers if i % j == 0]
+    return []
+
+
+def _conjugate_steps(log, weights, vals, t, N):
+    """What _conjugate_cmp needs of the nonzero cells of vals, scanned with
+    step t before the first: (index, log, weight, step, gcd(step weight,
+    N), N over it, the inverse of step weight over it modulo that), the
+    step running as in _orbit_starts."""
+    steps = []
+    for i, (w, c) in enumerate(zip(weights, vals)):
+        if c:
+            r = math.gcd(t * w, N)
+            steps.append((i, log[c], w, t, r, N // r, pow(t * w // r, -1, N // r)))
+            t = math.lcm(t, N // math.gcd(w, N))
+    return steps
+
+
+def _conjugate_cmp(steps, vals, pj, k, N, exp):
+    """(sign, scaling): how the scaling-canonical form of σ^j(vals),
+    pj = p^j mod N, compares with vals in scan order, and the exponent of
+    the scaling that takes σ^j(vals) to it, when they agree. k is the
+    scaling already applied to the cells before, in log space: σ^j sends
+    log c to pj log c, and γ^k sends a cell of weight w from log L to
+    L + k w. Cell by cell, as _orbit_starts keeps them: the step-t
+    scalings reach the logs L + gcd(t w, N) Z, whose least is canonical,
+    and the one modular inverse finds the scaling that reaches it, which
+    then acts on the later cells. Zero cells stay zero."""
+    for i, L, w, t, r, n, inv in steps:
+        L = (L * pj + k * w) % N
+        c = exp[L % r]
+        if c != vals[i]:
+            return (-1 if c < vals[i] else 1), k
+        k = (k - t * ((L // r) * inv % n)) % N
+    return 0, k
 
 
 def _g_row(S, g, d, memo):
@@ -313,19 +409,32 @@ def enumerate_covers(spec: FieldSpec, d: int, budget: int = DEFAULT_BUDGET):
     """One validated Cover per equivalence class, in a deterministic order:
     each scanned class followed by the rest of its affine orbit, translate
     by translate (g re-echelonized against h), each translate followed by
-    its scaling images."""
+    its scaling images; then its f - 1 Frobenius conjugate orbits, σ^j of
+    the first orbit for j = 1, ..., f - 1, in the same order."""
     _check_budget(spec, d, budget)
     exp, log = _scaling(spec, d)
+    frob = _frobenius(spec)
     memo = {}
     for c2 in range(1, d + 1):
-        for g, h, _, s, t in _admissible(spec, d, c2, log, memo):
+        for g, h, _, s, t, f in _admissible(spec, d, c2, log, memo):
+            covers = []
             for b in range(t):
                 hb = raw_translate(spec, h, b)
                 gb = raw_translate(spec, g, b)
                 gb = raw_axpy(spec, gb, spec.neg(gb[len(hb) - 1]), _padded(hb, len(gb)))
                 for gk, hk in zip(_images(exp, log, gb, s), _images(exp, log, hb, s)):
-                    yield Cover(Poly._raw(spec, raw_monic(spec, gk)),
-                                Poly._raw(spec, raw_monic(spec, hk)))
+                    covers.append((raw_monic(spec, gk), raw_monic(spec, hk)))
+            for j in range(f):
+                if j:
+                    covers = [([frob[c] for c in gk], [frob[c] for c in hk]) for gk, hk in covers]
+                for gk, hk in covers:
+                    yield Cover(Poly._raw(spec, gk), Poly._raw(spec, hk))
+
+
+def _frobenius(S):
+    """The p-power map on the codes of F_q as a list, or None over a prime
+    field, where every class is its own conjugate."""
+    return [S.frob_code(c) for c in range(S.order)] if S.m > 1 else None
 
 
 def _monic_images(exp, log, a, s):
@@ -383,50 +492,59 @@ def _scan_chunk(args):
 
     Each scanned class gets one tangent rank, against its g row's
     _chart_block, built when the row changes; the other classes of its
-    affine orbit get their keys by substituting x -> x + b, for each of
-    its t translates, and then x -> γ^k x, k < s, into the discriminant,
-    and share its dimension. The least key of a key's scaling orbit is
-    its first key, with link None; every other key links to it as
-    (first, j), j the least exponent with monic(first(γ^j x)) = key. So a
-    link depends on its key alone, never on the scan order or the split
-    into parts. A translate's s keys cover the orbit of its keys when
-    s = q - 1 or b = 0 (a scaling that fixes the class fixes its key);
-    otherwise the orbit comes from _monic_images.
+    Frobenius orbit of affine orbits get their keys by substituting
+    x -> x + b, for each of its t translates (one Taylor shift each),
+    applying σ^j, j < f, by the code table of _frobenius, and then
+    substituting x -> γ^k x, k < s, into the discriminant, and share its
+    dimension. Each class makes its own monic key, one raw_monic per
+    class, and no other raw_monic runs here. The least key of a key's
+    scaling orbit is its first key, with link None; every other key links
+    to it as (first, j), j the least exponent with monic(first(γ^j x)) =
+    key. So a link depends on its key alone, never on the scan order or
+    the split into parts. A translate's s keys cover the orbit of its keys when
+    s = q - 1 or b = 0 (a scaling that fixes the class fixes its key),
+    and so do its conjugates' s keys, since σ maps the scalings that fix
+    a class to those that fix its conjugate; otherwise the orbit comes
+    from _monic_images.
     """
     p, m, d, part, parts, with_tangent = args
     S = make_field(p, m)
     exp, log = _scaling(S, d)
+    frob = _frobenius(S)
     full = S.order - 1
     table = {}
     memo = {}
     for c2 in range(1, d + 1):
         row = block = dim = None
-        for g, h, disc, s, t in _admissible(S, d, c2, log, memo, part, parts):
+        for g, h, disc, s, t, f in _admissible(S, d, c2, log, memo, part, parts):
             if with_tangent:
                 if g is not row:
                     row, block = g, _chart_block(S, g, d, d - c2, memo)
                 dim = _tangent_dim_raw(S, block, h)
             for b in range(t):
-                imgs = _images(exp, log, raw_translate(S, disc, b) if b else disc, s)
-                keys = [tuple(raw_monic(S, img)) for img in imgs]
-                first = None            # the translate's link data, on its first new key
-                for k, key in enumerate(keys):
-                    rec = table.get(key)
-                    if rec is None:
-                        if first is None:
-                            orbit = keys if s == full or not b else \
-                                _monic_images(exp, log, keys[0], full)
-                            first = min(orbit)
-                            k0 = orbit.index(first)
-                            period = len(orbit) // orbit.count(first)   # size of the orbit
-                        j = (k - k0) % period
-                        table[key] = [1, {dim: 1} if with_tangent else {},
-                                      (first, j) if j else None]
-                    else:
-                        rec[0] += 1
-                        if with_tangent:
-                            dims = rec[1]
-                            dims[dim] = dims.get(dim, 0) + 1
+                conj = raw_translate(S, disc, b) if b else disc
+                for i in range(f):
+                    if i:
+                        conj = [frob[c] for c in conj]
+                    keys = [tuple(raw_monic(S, img)) for img in _images(exp, log, conj, s)]
+                    first = None            # the translate's link data, on its first new key
+                    for k, key in enumerate(keys):
+                        rec = table.get(key)
+                        if rec is None:
+                            if first is None:
+                                orbit = keys if s == full or not b else \
+                                    _monic_images(exp, log, keys[0], full)
+                                first = min(orbit)
+                                k0 = orbit.index(first)
+                                period = len(orbit) // orbit.count(first)   # size of the orbit
+                            j = (k - k0) % period
+                            table[key] = [1, {dim: 1} if with_tangent else {},
+                                          (first, j) if j else None]
+                        else:
+                            rec[0] += 1
+                            if with_tangent:
+                                dims = rec[1]
+                                dims[dim] = dims.get(dim, 0) + 1
     return table
 
 

@@ -136,10 +136,47 @@ def _census_json(summary, records):
     yield '{\n  "records": ['
     sep = "\n    "
     for r in records:
-        yield sep + json.dumps(r.to_json(), indent=2, sort_keys=True).replace("\n", "\n    ")
+        yield sep + _record_json(r.to_json())
         sep = ",\n    "
     yield ("\n  ]" if records else "]") + ',\n  "summary": '
     yield json.dumps(summary, indent=2, sort_keys=True).replace("\n", "\n  ") + "\n}\n"
+
+
+def _json_list(items, pad):
+    """Rendered members as a JSON list at the indent of pad, its closing
+    line, the way json.dumps(indent=2) lays it out."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def _record_json(rec):
+    """json.dumps(rec, indent=2, sort_keys=True) for a CensusRecord's
+    to_json() at the indent of a record in _census_json, rendered from the
+    record's fixed schema: json.dumps with an indent runs the pure-Python
+    encoder, several times slower, so it renders only the strings here."""
+    dumps = json.dumps
+    p1, p2, p3 = "\n      ", "\n        ", "\n          "
+    lengths = rec["lengths"]
+    if lengths is not None:
+        lengths = _json_list([f'{{{p3}"mult": {pt["mult"]},{p3}"point": {dumps(pt["point"])}{p2}}}'
+                              for pt in lengths], p1)
+    dims = sorted(rec["tangent_dims"].items())
+    return "".join((
+        f'{{{p1}"class_count": {rec["class_count"]},',
+        f'{p1}"disc": {dumps(rec["disc"])},',
+        f'{p1}"factor_profile": ',
+        _json_list([_json_list([str(k) for k in pair], p2) for pair in rec["factor_profile"]], p1),
+        f',{p1}"finite_lengths": ',
+        _json_list([str(k) for k in rec["finite_lengths"]], p1),
+        f',{p1}"l_inf": {rec["l_inf"]},',
+        f'{p1}"lengths": {"null" if lengths is None else lengths},',
+        f'{p1}"split_ok": {"true" if rec["split_ok"] else "false"},',
+        f'{p1}"tangent_dims": ',
+        "{" + p2 + ("," + p2).join(f"{dumps(k)}: {v}" for k, v in dims) + p1 + "}"
+        if dims else "{}",
+        f',{p1}"wild": {"true" if rec["wild"] else "false"}\n    }}'))
 
 
 def _field(args):

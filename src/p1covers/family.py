@@ -15,7 +15,7 @@ its first-order term comes from one inverse of that 2 x 2 pivot block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cover import INF, Cover, _branch_divisor, _branch_shape, _fix_infinity, _ram_index
 from .deform import DeformationVector
@@ -37,19 +37,24 @@ class Family:
     spec: FieldSpec
     d: int
 
-    def specialize(self, t: FieldElement) -> Cover:
-        T = t.spec
+    def over(self, T: FieldSpec) -> "Family":
+        """The same family with g, h and bump embedded into T, which must
+        contain the family's field; itself when T is that field."""
         if T.p != self.spec.p:
             raise InputError("parameter from a field of different characteristic")
         if T.m % self.spec.m != 0:
             raise InputError("parameter field does not contain the family's field")
-        g = self.g.embed(T) if T != self.spec else self.g
-        h = self.h.embed(T) if T != self.spec else self.h
-        bump = self.bump.embed(T) if T != self.spec else self.bump
-        num = g + bump * t
-        if max(num.degree(), h.degree()) < self.d:
+        if T == self.spec:
+            return self
+        return replace(self, g=self.g.embed(T), h=self.h.embed(T),
+                       bump=self.bump.embed(T), spec=T)
+
+    def specialize(self, t: FieldElement) -> Cover:
+        fam = self.over(t.spec)
+        num = fam.g + fam.bump * t
+        if max(num.degree(), fam.h.degree()) < self.d:
             raise InputError(f"the fiber at t = {t} drops below degree {self.d}")
-        return Cover(num, h)
+        return Cover(num, fam.h)
 
     def degenerate_parameter(self):
         """The one parameter whose fiber drops below degree d, or None.
@@ -155,7 +160,8 @@ def verify_family(fam: Family, ts, max_ext: int = 4) -> dict:
         deg = math.lcm(deg, t.spec.m)
     K = make_field(fam.spec.p, deg)
     ts_K = [FieldElement(K, K.embed_code(t.code, t.spec)) for t in ts]
-    covers = [fam.specialize(t) for t in ts_K]
+    fam_K = fam.over(K)                 # embedded once, not once per fiber
+    covers = [fam_K.specialize(t) for t in ts_K]
     discs = [cov.discriminant() for cov in covers]
     disc_constant = all(d == discs[0] for d in discs)
     lengths, divisors = {}, []

@@ -29,6 +29,7 @@ F9 = make_field(3, 2)
 F11 = make_field(11)
 F16 = make_field(2, 4)
 F25 = make_field(5, 2)
+F27 = make_field(3, 3)
 F49 = make_field(7, 2)
 
 
@@ -296,7 +297,8 @@ def enumerated_galois_orbits(spec, d):
 
 @pytest.mark.parametrize("spec,d", [(F4, 1), (F4, 2), (F4, 3), (F4, 4),
                                     (F8, 1), (F8, 2), (F8, 3),
-                                    (F9, 1), (F9, 2), (F9, 3), (F16, 2)])
+                                    (F9, 1), (F9, 2), (F9, 3), (F16, 2),
+                                    (F25, 2), (F27, 2)])
 def test_galois_orbits_match_enumeration(spec, d):
     res = census_by_disc(spec, d, with_tangent=False, points=False, orbit_count=True)
     assert res.galois_orbits == enumerated_galois_orbits(spec, d)
@@ -510,22 +512,31 @@ def assert_links_canonical(spec, table):
             assert key not in orbit(spec, first, k)
 
 
-def expand_class(S, g, h, s, t):
-    """The t s classes that a yielded class stands for: its translates by
-    b < t, g re-echelonized against h, and their images under the scaling."""
+def conjugate(S, a, j):
+    """σ^j(a), the p-power map j times on each coefficient, by field powers."""
+    for _ in range(j):
+        a = [S.frob_code(c) for c in a]
+    return tuple(a)
+
+
+def expand_class(S, g, h, s, t, f=1):
+    """The t s f classes that a yielded class stands for: its translates by
+    b < t, g re-echelonized against h, and their images under the scaling,
+    and σ^j of each of those for j < f."""
     out = []
     for b in range(t):
         hb, gb = translated(S, h, b), translated(S, g, b)
         gb = raw_trim(raw_sub(S, gb, raw_scale(S, hb, gb[len(hb) - 1])))
         out += zip(orbit(S, gb, s), orbit(S, hb, s))
-    return out
+    return [(conjugate(S, gk, j), conjugate(S, hk, j)) for j in range(f) for gk, hk in out]
 
 
 # the sections: g's column 1 (F_3 d = 4 at c2 >= 2, F_5 d = 3, F_2 d = 5),
 # a linear h cell (F_9 d = 3, F_3 d = 4 at c2 = 1 with h_2 != 0), and no
 # section (F_8 d = 3 at c2 = 1, the b^2 term)
 @pytest.mark.parametrize("spec,d", [(spec, d) for spec in (F3, F4, F5, F7, F8, F9)
-                                    for d in (1, 2, 3)] + [(F4, 4), (F5, 4), (F3, 4), (F2, 5)])
+                                    for d in (1, 2, 3)] + [(F4, 4), (F5, 4), (F3, 4), (F2, 5)]
+                         + [(spec, d) for spec in (F16, F25, F27) for d in (1, 2)])
 def test_scaling_transversal_matches_full_scan(spec, d):
     _, log = _scaling(spec, d)
     reference, expanded = [], []
@@ -538,11 +549,11 @@ def test_scaling_transversal_matches_full_scan(spec, d):
             rec[0] += 1
             dim = reference_tangent_dim(spec, g, h, d, disc)
             rec[1][dim] = rec[1].get(dim, 0) + 1
-        for g, h, disc, s, t in _admissible(spec, d, c2, log, {}):
+        for g, h, disc, s, t, f in _admissible(spec, d, c2, log, {}):
             assert t in (1, spec.order)
-            orbit_sizes += s * t
+            orbit_sizes += s * t * f
             sectioned += t > 1
-            expanded += expand_class(spec, g, h, s, t)
+            expanded += expand_class(spec, g, h, s, t, f)
     assert len(set(expanded)) == len(expanded)       # each class exactly once
     assert set(expanded) == set(reference)
     assert orbit_sizes == len(reference) == _class_total(spec.p, spec.m, d)
@@ -552,17 +563,61 @@ def test_scaling_transversal_matches_full_scan(spec, d):
     assert_links_canonical(spec, table)
 
 
+def scan_cells(d, cells, a):
+    """The values of a raw echelon row in these cells, column j the
+    coefficient of x^(d-j)."""
+    return tuple(a[d - j] if d - j < len(a) else 0 for j in cells)
+
+
+@pytest.mark.parametrize("spec,d", [(F4, 3), (F4, 4), (F8, 3), (F9, 3),
+                                    (F16, 3), (F25, 3), (F27, 3)])
+def test_scan_keeps_the_least_frobenius_conjugate(spec, d):
+    # the scanned class of an orbit is the scaling image of it that the
+    # scan lists (its g cells in _g_starts, its h cells in _orbit_starts
+    # after them); a yielded class is the least such class among its
+    # conjugates' orbits in scan order, and its period f is the least j
+    # with σ^j of it in its own orbit
+    import p1covers.census as census_mod
+    p, m, n = spec.p, spec.m, spec.order - 1
+    _, log = _scaling(spec, d)
+    periods = set()
+    for c2 in range(1, d + 1):
+        free_g = census_mod._free_g(p, d, c2)
+        free_h = range(c2 + 1, d + 1)
+        g_listed = dict(census_mod._g_starts(log, d, c2, p))
+        h_listed = {sg: {vals for vals, _ in census_mod._orbit_starts(
+            log, [c2 - j for j in free_h], sg)} for sg in set(g_listed.values())}
+        for g, h, _, _, _, f in _admissible(spec, d, c2, log, {}):
+            canon = []
+            for j in range(m):
+                gj, hj = conjugate(spec, g, j), conjugate(spec, h, j)
+                listed = {(scan_cells(d, free_g, a), scan_cells(d, free_h, b))
+                          for a, b in zip(orbit(spec, gj, n), orbit(spec, hj, n))}
+                listed = [(gc, hc) for gc, hc in listed
+                          if gc in g_listed and hc in h_listed[g_listed[gc]]]
+                assert len(listed) == 1
+                canon += listed
+            assert canon[0] == (scan_cells(d, free_g, g), scan_cells(d, free_h, h))
+            assert canon[0] == min(canon)
+            assert m % f == 0
+            assert f == min(j for j in range(1, m + 1) if canon[j % m] == canon[0])
+            periods.add(f)
+    assert m in periods
+    if spec is F16 and d == 3:
+        assert periods == {1, 2, 4}             # classes over F_2, F_4 and F_16
+
+
 def test_sections_where_the_translations_act():
     # t = q on the slices with a section cell, t = 1 elsewhere
     def ts(spec, d, c2):
-        return {t for *_, t in _admissible(spec, d, c2, _scaling(spec, d)[1], {})}
+        return {t for *_, t, _ in _admissible(spec, d, c2, _scaling(spec, d)[1], {})}
     assert ts(F9, 3, 1) == ts(F9, 3, 2) == {9} and ts(F9, 3, 3) == {1}
     assert ts(F3, 4, 1) == {1, 3} and ts(F3, 4, 2) == ts(F3, 4, 4) == {3}
     assert ts(F8, 3, 1) == {1} and ts(F8, 3, 2) == {8}
     assert ts(F2, 5, 1) == {1, 2}
     # F_3 d = 4, c2 = 1: h = x^3 + h_2 x^2 + h_1 x + h_0 moves h_1 by 2 h_2 b
     _, log = _scaling(F3, 4)
-    for g, h, _, _, t in _admissible(F3, 4, 1, log, {}):
+    for g, h, _, _, t, _ in _admissible(F3, 4, 1, log, {}):
         assert (t == 3) == (h[2] != 0)
         assert t == 1 or h[1] == 0
         assert g[3] == 0
@@ -583,7 +638,7 @@ def test_census_counts_are_translation_invariant(spec, d):
                                                                rec.tangent_dims)
 
 
-@pytest.mark.parametrize("spec,d", [(F3, 4), (F9, 3), (F2, 5), (F8, 3)])
+@pytest.mark.parametrize("spec,d", [(F3, 4), (F9, 3), (F2, 5), (F8, 3), (F4, 4), (F16, 3)])
 def test_scan_makes_one_monic_key_per_class(spec, d, monkeypatch):
     # each class of an affine orbit gets its own key, made monic in the
     # scan: the monic keys made there count the census's classes, which is
@@ -602,7 +657,7 @@ def test_tangent_block_matches_full_system(spec, max_d):
         _, log = _scaling(spec, d)
         memo = {}                   # g rows shared across the slices
         for c2 in range(1, d + 1):
-            for g, h, disc, _, _ in _admissible(spec, d, c2, log, memo):
+            for g, h, disc, _, _, _ in _admissible(spec, d, c2, log, memo):
                 block = _chart_block(spec, g, d, d - c2, memo)
                 if block[1] < d:
                     low_rank.add(tuple(g))
@@ -641,11 +696,11 @@ def test_shared_scan_matches_per_slice_scans(spec, d):
     alone = {}
     for c2 in range(1, d + 1):
         memo = {}
-        for g, h, disc, s, t in _admissible(spec, d, c2, log, memo):
+        for g, h, disc, s, t, f in _admissible(spec, d, c2, log, memo):
             dim = _tangent_dim_raw(spec, _chart_block(spec, g, d, d - c2, memo), h)
             D = raw_monic(spec, disc)
-            for b in range(t):
-                for key in orbit(spec, translated(spec, D, b), s):
+            for b, j in iproduct(range(t), range(f)):
+                for key in orbit(spec, conjugate(spec, translated(spec, D, b), j), s):
                     rec = alone.setdefault(key, [0, {}])
                     rec[0] += 1
                     rec[1][dim] = rec[1].get(dim, 0) + 1
@@ -660,8 +715,8 @@ def test_prefix_tasks_split_the_slice(spec, d):
     _, log = _scaling(spec, d)
     for c2 in range(1, d + 1):
         def classes(part, parts):
-            return [(tuple(g), tuple(h), tuple(disc), s, t)
-                    for g, h, disc, s, t in _admissible(spec, d, c2, log, {}, part, parts)]
+            return [(tuple(g), tuple(h), tuple(disc), s, t, f)
+                    for g, h, disc, s, t, f in _admissible(spec, d, c2, log, {}, part, parts)]
         whole = classes(0, 1)
         n_rows = len({cls[0] for cls in whole})
         for parts in (2, 3, 4):

@@ -198,6 +198,27 @@ def test_census_json_streams_the_whole_document(tmp_path, capsys):
     assert out == out_file.read_text() == whole(result.records)
 
 
+@pytest.mark.parametrize("p,m,d,kw", [
+    (3, 1, 4, {"points": True}), (2, 3, 3, {"points": True}), (3, 2, 3, {"points": True}),
+    (3, 2, 3, {"points": True, "max_ext": 1}), (2, 2, 3, {"with_tangent": False})])
+def test_census_record_json_matches_indented_dumps(p, m, d, kw):
+    # each record's direct rendering is json.dumps(indent=2, sort_keys=True)
+    # of its to_json(), at a record's indent, byte for byte: records without
+    # points (lengths null), with empty lists (disc 1) and, without the
+    # tangent stage, with empty dicts
+    from p1covers.census import census_by_disc
+    from p1covers.cli import _record_json
+    records = [r.to_json() for r in census_by_disc(make_field(p, m), d, **kw).records]
+    for rec in records:
+        assert _record_json(rec) == \
+            json.dumps(rec, indent=2, sort_keys=True).replace("\n", "\n    ")
+    assert any(not rec["finite_lengths"] and not rec["factor_profile"] for rec in records)
+    if kw.get("max_ext") == 1:
+        assert any(rec["lengths"] is None for rec in records)
+    if not kw.get("with_tangent", True):
+        assert all(rec["tangent_dims"] == {} for rec in records)
+
+
 def test_census_threads_match(capsys):
     code1, out1, _ = run(capsys, "census", "--p", "3", "--d", "3", "--json")
     code2, out2, _ = run(capsys, "census", "--p", "3", "--d", "3", "--json",
