@@ -129,7 +129,9 @@ def image_T(f: Poly):
             row[i], row[j] = (w[j], raw_neg(S, w[i])) if i < j else ([1], [])
             rows.append(_pm_row_normalize(S, row))
     # sum w_i u_i is coordinate p-1 of u W, W = sum w_i(x^p) x^(p-1-i); a
-    # column off the hyperplane would span k(X)^p together with it
+    # column off the hyperplane would span k(X)^p together with it. W is
+    # f^(p-2) when w is right, but it is rebuilt from w, so that the check
+    # tests the hyperplane returned and not only f
     W = list(reassemble([Poly._raw(S, e) for e in w[::-1]]).c)
     if any(any(raw_mul(S, col, W)[p - 1::p]) for col in raw_T_columns(S, fc, range(p))):
         raise ArithmeticError(f"image of T_f has dimension {p}, expected {p - 1}")

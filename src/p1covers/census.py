@@ -34,9 +34,13 @@ maps x -> ax + b orbits to orbits. The scan keeps one affine orbit per
 Frobenius orbit of them, the one whose scanned class is least in scan
 order among its conjugates', with its Frobenius period f, a divisor of m
 (f = 1 over a prime field), and expands the f - 1 conjugate orbits by a
-code-table map on the keys. So a kept class stands for f t s classes
-and costs one tangent rank; each of them still gets its own monic key,
-one raw_monic per class, which is the census's class count.
+code-table map on the keys. A conjugate's scanned class is looked up in
+tables that map each tuple of cells to its orbit's row of the scaling
+transversal (_canon_table, built from _orbit_starts), so the rule that
+picks one class per scaling orbit is written once. So a kept class
+stands for f t s classes and costs one tangent rank; each of them still
+gets its own monic key, one raw_monic per class, which is the census's
+class count.
 
 The scan works one g row at a time, and everything that depends on g
 alone is done once per scan task: a g row lies in every slice where
@@ -169,6 +173,21 @@ def _orbit_starts(log, weights, s=1):
     return out
 
 
+def _canon_table(exp, log, weights, s=1):
+    """{value tuple: (row, k)} for every tuple of cells of these scaling
+    weights. The scalings γ^k, k a multiple of s, act on the tuples; row
+    is the one _orbit_starts row, s the step before the first cell, in
+    the tuple's orbit, and γ^k, 0 <= k < q - 1, takes the tuple to row.
+    exp holds the q - 1 powers of γ."""
+    N = len(exp)
+    table = {}
+    for row, t in _orbit_starts(log, weights, s):
+        for k in range(0, t, s):
+            table[tuple([exp[(log[c] - k * w) % N] if c else 0
+                         for c, w in zip(row, weights)])] = (row, k)
+    return table
+
+
 def _free_g(p, d, c2):
     """The free cells of the g row, pivots at (0, c2). Column 1 is free
     when c2 >= 2, and a translation x -> x + b adds d b to it: when p does
@@ -228,14 +247,19 @@ def _admissible(S, d, c2, log, memo, part=0, parts=1):
 
     The p-power Frobenius σ, applied cell by cell, keeps pivots and zero
     cells, so the sections, and maps the orbit of γ^k to that of γ^(p k):
-    it permutes these orbits, and the scanned class of σ^j(r) is the
-    scaling-canonical form of σ^j applied to r's cells (_conjugate_cmp).
-    A class r is kept when r <= canon(σ^j r) in scan order, lexicographic
-    on (g cells, h cells), for every 0 < j < m; f is the least j with
-    equality, or m, so σ^j(r), j < f, are the f distinct orbits of r's
-    Frobenius orbit. The g cells decide first: a g row with a conjugate
-    below it is skipped whole, before _g_row builds it, and the h test
-    runs only for the j whose conjugate of g is g itself.
+    it permutes these orbits, and the scanned class canon(σ^j r) of σ^j(r)
+    is read from the transversal itself. Its g cells are the _orbit_starts
+    row of σ^j(g) in the _canon_table of the g cells, which also gives the
+    scaling γ^k that takes σ^j(g) there. When that row is g, its h cells
+    are the row of γ^k σ^j(h) in the table of the h cells at g's
+    stabilizer step, built the first time a g row of that step needs it.
+    In log space σ^j sends L to p^j L, and γ^k a cell of weight w from L
+    to L + k w. A class r is kept when r <= canon(σ^j r) in scan order,
+    lexicographic on (g cells, h cells), for every 0 < j < m; f is the
+    least j with equality, or m, so σ^j(r), j < f, are the f distinct
+    orbits of r's Frobenius orbit. The g cells decide first: a g row with
+    a conjugate row below it is skipped whole, before _g_row builds it,
+    and the h test runs only for the j whose conjugate row of g is g.
 
     For a fixed g row, h -> (T_g(h), h mod P for each monic irreducible
     factor P of g) is affine in the free h cells, with the rows of _g_row
@@ -253,12 +277,18 @@ def _admissible(S, d, c2, log, memo, part=0, parts=1):
     g_weights = [-j for j in free_g]
     h_weights = [c2 - j for j in free_h]
     exp = S._primitive_powers()                 # exp[log c] = c
-    powers = [(j, pow(p, j, N)) for j in range(1, m)]
-    h_rows = {}         # stabilizer step -> [(h, h cells, s, t, first changed cell, steps)]
+    powers = [(j, pow(p, j, N)) for j in range(1, m)]      # σ^j sends log c to p^j log c
+    g_canon = _canon_table(exp, log, g_weights) if m > 1 else None
+    h_canon = {}        # stabilizer step -> _canon_table of the h cells, built when first read
+    h_rows = {}         # stabilizer step -> [(h, h cells, s, t, first changed cell)]
     for gvals, sg in _g_starts(log, d, c2, p)[part::parts]:
-        fixed = _fixed_conjugates(log, g_weights, gvals, powers, N, exp) if m > 1 else []
-        if fixed is None:
+        conj = [g_canon[tuple(exp[log[c] * pj % N] if c else 0 for c in gvals)]
+                for _, pj in powers]
+        if any(row < gvals for row, _ in conj):
             continue                                # a conjugate's g row comes first
+        fixed = [(j, pj, k) for (j, pj), (row, k) in zip(powers, conj) if row == gvals]
+        if fixed and sg not in h_canon:
+            h_canon[sg] = _canon_table(exp, log, h_weights, sg)
         g = _row(d, 0, free_g, gvals)
         hs = h_rows.get(sg)
         if hs is None:
@@ -271,22 +301,22 @@ def _admissible(S, d, c2, log, memo, part=0, parts=1):
                 changed = next((i for i, (u, v) in enumerate(zip(hvals, last)) if u != v),
                                len(last))
                 t = q if g_section or cell is not None else 1
-                steps = _conjugate_steps(log, h_weights, hvals, sg, N) if m > 1 else None
-                hs.append((_row(d, c2, free_h, hvals), hvals, s, t, changed, steps))
+                hs.append((_row(d, c2, free_h, hvals), hvals, s, t, changed))
                 last = hvals
         rows, blocks, _ = _g_row(S, g, d, memo)
         cells = [rows[d - j] for j in free_h]
         top = len(cells)
         acc = [rows[d - c2]] * (top + 1)            # acc[i + 1]: base plus cells 0..i
         start = top
-        for h, hvals, s, t, changed, steps in hs:
+        for h, hvals, s, t, changed in hs:
             if changed < start:
                 start = changed
             f = m
-            for j, pj, k in fixed:
-                c = _conjugate_cmp(steps, hvals, pj, k, N, exp)[0]
-                if c <= 0:
-                    f = j if c == 0 else 0
+            for j, pj, k in fixed:                  # γ^k σ^j(g) = g
+                row = h_canon[sg][tuple(exp[(log[c] * pj + k * w) % N] if c else 0
+                                        for c, w in zip(hvals, h_weights))][0]
+                if row <= hvals:
+                    f = j if row == hvals else 0
                     break
             if not f:
                 continue                            # a conjugate comes first
@@ -299,56 +329,6 @@ def _admissible(S, d, c2, log, memo, part=0, parts=1):
                 disc = raw_trim(vec[:n])
                 if disc:
                     yield g, h, disc, s, t, f
-
-
-def _fixed_conjugates(log, weights, gvals, powers, N, exp):
-    """None when the canonical form of some σ^j(g) comes before the g row
-    gvals, else [(j, p^j, k)] for the j, in powers, with canon(σ^j g) = g,
-    k the scaling that takes σ^j(g) there. These j are the multiples of
-    the least of them, since σ permutes the scaling orbits, and no other
-    j needs a test: canon(σ^(i+j) g) = canon(σ^i g) for such j."""
-    steps = _conjugate_steps(log, weights, gvals, 1, N)
-    for j, pj in powers:
-        c = _conjugate_cmp(steps, gvals, pj, 0, N, exp)[0]
-        if c < 0:
-            return None
-        if c == 0:
-            return [(i, pi, _conjugate_cmp(steps, gvals, pi, 0, N, exp)[1])
-                    for i, pi in powers if i % j == 0]
-    return []
-
-
-def _conjugate_steps(log, weights, vals, t, N):
-    """What _conjugate_cmp needs of the nonzero cells of vals, scanned with
-    step t before the first: (index, log, weight, step, gcd(step weight,
-    N), N over it, the inverse of step weight over it modulo that), the
-    step running as in _orbit_starts."""
-    steps = []
-    for i, (w, c) in enumerate(zip(weights, vals)):
-        if c:
-            r = math.gcd(t * w, N)
-            steps.append((i, log[c], w, t, r, N // r, pow(t * w // r, -1, N // r)))
-            t = math.lcm(t, N // math.gcd(w, N))
-    return steps
-
-
-def _conjugate_cmp(steps, vals, pj, k, N, exp):
-    """(sign, scaling): how the scaling-canonical form of σ^j(vals),
-    pj = p^j mod N, compares with vals in scan order, and the exponent of
-    the scaling that takes σ^j(vals) to it, when they agree. k is the
-    scaling already applied to the cells before, in log space: σ^j sends
-    log c to pj log c, and γ^k sends a cell of weight w from log L to
-    L + k w. Cell by cell, as _orbit_starts keeps them: the step-t
-    scalings reach the logs L + gcd(t w, N) Z, whose least is canonical,
-    and the one modular inverse finds the scaling that reaches it, which
-    then acts on the later cells. Zero cells stay zero."""
-    for i, L, w, t, r, n, inv in steps:
-        L = (L * pj + k * w) % N
-        c = exp[L % r]
-        if c != vals[i]:
-            return (-1 if c < vals[i] else 1), k
-        k = (k - t * ((L // r) * inv % n)) % N
-    return 0, k
 
 
 def _g_row(S, g, d, memo):

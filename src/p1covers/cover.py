@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, SplitBoundExceeded
-from .field import FieldElement, FieldSpec, _split_top, make_field
+from .field import FieldElement, FieldSpec, _split_top, _write_sum, make_field
 from .poly import (Poly, raw_T, raw_add, raw_embed, raw_eval, raw_gcd,
                    raw_mobius_substitute, raw_monic, raw_quo_root, raw_rref,
                    raw_scale, raw_sqf_list, raw_sqf_roots, raw_sub)
@@ -118,8 +118,9 @@ class Mobius:
         return {"a": str(self.a), "b": str(self.b), "c": str(self.c), "d": str(self.d)}
 
     def to_str(self, var: str = "y") -> str:
-        num = _linear_str(self.a, self.b, var)
-        den = _linear_str(self.c, self.d, var)
+        text = self.spec.element_str
+        num = _write_sum((self.b.code, self.a.code), text, var)
+        den = _write_sum((self.d.code, self.c.code), text, var)
         if den == "1":
             return f"{var} -> {num}"
         return f"{var} -> ({num}) / ({den})"
@@ -135,15 +136,6 @@ def _mobius_point(T, a, b, c, e, x):
         return T.div(a, c) if c else INF
     den = T.add(T.mul(c, x), e)
     return T.div(T.add(T.mul(a, x), b), den) if den else INF
-
-
-def _linear_str(a: FieldElement, b: FieldElement, var: str) -> str:
-    terms = []
-    if a:
-        terms.append(var if str(a) == "1" else f"{a}*{var}")
-    if b or not terms:
-        terms.append(str(b))
-    return " + ".join(terms)
 
 
 class Divisor:

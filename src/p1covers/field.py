@@ -52,7 +52,9 @@ polynomial coefficient and divisor point goes through. A field of at
 most `TABLE_LIMIT` elements reads it from a list of every code's text,
 built on the first call, so making a field costs no formatting; a larger
 field formats each code on its first print and keeps that text, so its
-memo grows only with the distinct codes printed.
+memo grows only with the distinct codes printed. Sums are written by one
+term writer, `_write_sum`, the reader's inverse: the bracketed sum in u
+of an element, `Poly.to_str` and the two sides of `Mobius.to_str`.
 
 This module only knows field elements: every polynomial step it needs
 runs on `poly`'s raw layer. Field construction is deterministic:
@@ -138,8 +140,9 @@ def _least_irreducible(p, m):
 
 
 # ---------------------------------------------------------------------------
-# The term reader behind parse_element, Poly.parse and Cover.parse; the
-# grammar is in the module docstring.
+# The term reader behind parse_element, Poly.parse and Cover.parse, and the
+# term writer behind the printed forms; the grammar is in the module
+# docstring.
 
 
 def _int(text):
@@ -191,6 +194,22 @@ def _sum_terms(s, var):
         if k > MAX_EXPONENT:
             raise InputError(f"exponent {k} in {term!r} exceeds {MAX_EXPONENT}")
         yield sign, head[:-1] if head else None, k
+
+
+def _write_sum(coeffs, text, var):
+    """The sum of coeffs[k] var^k that _sum_terms reads back: the nonzero
+    coefficients from the highest degree down, each written by text, as
+    c, var, c*var or c*var^k, or "0" when there are none."""
+    terms = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c:
+            c = text(c)
+            if k:
+                v = var if k == 1 else f"{var}^{k}"
+                c = v if c == "1" else f"{c}*{v}"
+            terms.append(c)
+    return " + ".join(terms) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -510,23 +529,10 @@ class FieldSpec:
         return strs[code]
 
     def _format(self, code: int) -> str:
-        if self.m == 1:
-            return str(code)
+        """An integer in F_p, else a bracketed sum in u."""
         digits = self.decode(code)
-        if not any(digits[1:]):
-            return str(digits[0])
-        terms = []
-        for k in range(self.m - 1, -1, -1):
-            c = digits[k]
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append("u" if c == 1 else f"{c}*u")
-            else:
-                terms.append(f"u^{k}" if c == 1 else f"{c}*u^{k}")
-        return "[" + " + ".join(terms) + "]"
+        text = _write_sum(digits, str, "u")
+        return f"[{text}]" if any(digits[1:]) else text
 
     def parse_element(self, text: str) -> "FieldElement":
         s = text.strip().replace(" ", "")

@@ -41,7 +41,7 @@ import itertools
 
 from .errors import InputError
 from .field import (MAX_EXT_DEGREE, FieldElement, FieldSpec, _PackedResidues, _sum_terms,
-                    make_field)
+                    _write_sum, make_field)
 
 # ---------------------------------------------------------------------------
 # raw layer: coefficient lists of codes
@@ -872,20 +872,7 @@ class Poly:
         return bool(self.c)
 
     def to_str(self, var: str = "x") -> str:
-        if not self.c:
-            return "0"
-        terms = []
-        for k in range(len(self.c) - 1, -1, -1):
-            code = self.c[k]
-            if code == 0:
-                continue
-            cs = self.spec.element_str(code)
-            if k == 0:
-                terms.append(cs)
-            else:
-                xs = var if k == 1 else f"{var}^{k}"
-                terms.append(xs if cs == "1" else f"{cs}*{xs}")
-        return " + ".join(terms)
+        return _write_sum(self.c, self.spec.element_str, var)
 
     __str__ = to_str
 

@@ -607,6 +607,38 @@ def test_scan_keeps_the_least_frobenius_conjugate(spec, d):
         assert periods == {1, 2, 4}             # classes over F_2, F_4 and F_16
 
 
+@pytest.mark.parametrize("spec", [F4, F8, F9, F16, F25, F27])
+def test_canon_table_reads_the_orbit_starts_row(spec):
+    # for the g and h weights of every slice, d = 3 (and d = 4 over F_4,
+    # F_8 and F_9), and every step s dividing q - 1: each tuple of cells
+    # maps to the one _orbit_starts row of its orbit under the scalings
+    # γ^k, k a multiple of s, with a k that takes it there
+    import p1covers.census as census_mod
+    p, q, n = spec.p, spec.order, spec.order - 1
+    exp = spec._primitive_powers()
+    gamma = exp[1]
+
+    def scaled(vals, weights, k):
+        return tuple(spec.mul(c, spec.pow_code(gamma, k * w % n))
+                     for c, w in zip(vals, weights))
+
+    for d in (3, 4) if q < 10 else (3,):
+        log = _scaling(spec, d)[1]
+        slices = [[-j for j in census_mod._free_g(p, d, c2)] for c2 in range(1, d + 1)]
+        slices += [[c2 - j for j in range(c2 + 1, d + 1)] for c2 in range(1, d + 1)]
+        for weights in slices:
+            for s in (s for s in range(1, n + 1) if n % s == 0):
+                starts = {row for row, _ in census_mod._orbit_starts(log, weights, s)}
+                table = census_mod._canon_table(exp, log, weights, s)
+                assert set(table) == set(iproduct(range(q), repeat=len(weights)))
+                for vals, (row, k) in table.items():
+                    assert row in starts
+                    assert scaled(vals, weights, k) == row
+                    orbit = {scaled(vals, weights, j) for j in range(0, n, s)}
+                    assert orbit & starts == {row}
+                assert all(table[row] == (row, 0) for row in starts)
+
+
 def test_sections_where_the_translations_act():
     # t = q on the slices with a section cell, t = 1 elsewhere
     def ts(spec, d, c2):

@@ -8,10 +8,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from p1covers import (InputError, arith, elements, embed, frobenius, make_field,
-                      FieldElement)
+from p1covers import (Cover, InputError, Mobius, Poly, arith, elements, embed, frobenius,
+                      make_field, FieldElement)
 from p1covers import field
 from p1covers.field import TABLE_LIMIT
+from p1covers.poly import raw_trim
 
 TABLED = [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 10)
           if p ** m <= TABLE_LIMIT]
@@ -329,6 +330,48 @@ def test_element_str_untabled_sampled(p, m):
     # text is kept in a memo (dict.get does not fill it)
     assert not isinstance(spec._strs, list)
     assert all(spec._strs.get(c) == element_text(spec, c) for c in codes)
+
+
+@pytest.mark.parametrize("p,m", TABLED + [(2, 10), (2, 12), (3, 7), (5, 5), (7, 4),
+                                          (11, 3), (13, 3)])
+def test_written_text_reads_back(p, m):
+    # field._write_sum writes the bracketed elements, polynomials, covers
+    # and the sides of Moebius maps; the term reader reads each back to
+    # the same object: every element of a tabled field, samples above
+    spec = make_field(p, m)
+    q = spec.order
+    rng = random.Random(q)
+    codes = range(q) if q <= TABLE_LIMIT else [0, 1, p - 1, p, q - 1,
+                                                 *rng.sample(range(q), 300)]
+    for c in codes:
+        e = FieldElement(spec, c)
+        assert spec.parse_element(str(e)) == e
+
+    def code():
+        return rng.choice((0, 1, rng.randrange(q)))
+
+    def poly(codes):
+        return Poly._raw(spec, raw_trim(list(codes)))
+
+    covers = 0
+    for _ in range(40):
+        f = poly(code() for _ in range(rng.randrange(8)))
+        for var in ("x", "X"):
+            assert Poly.parse(f.to_str(var), spec) == f
+        a, b, c, d = (code() for _ in range(4))
+        if spec.sub(spec.mul(a, d), spec.mul(b, c)):
+            head, _, tail = Mobius.from_codes(spec, a, b, c, d).to_str("x").partition(" -> ")
+            num, _, den = tail.partition(" / ")
+            sides = [Poly.parse(text.strip("()"), spec) for text in (num, den or "1")]
+            assert head == "x" and sides == [poly((b, a)), poly((d, c))]
+        try:
+            cover = Cover(poly(code() for _ in range(rng.randrange(2, 7))),
+                          poly(code() for _ in range(rng.randrange(1, 7))))
+        except InputError:
+            continue
+        covers += 1
+        assert Cover.parse(str(cover), spec) == cover
+    assert covers
 
 
 @pytest.mark.parametrize("p,m", [(3, 7), (7, 4), (2, 10)])
